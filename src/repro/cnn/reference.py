@@ -5,6 +5,13 @@ module plays that role.  Two implementations are provided — a straightforward
 direct convolution and an im2col/GEMM formulation — so the reference itself
 can be cross-checked.  Both operate on single images in CHW layout and
 support stride, zero padding and channel groups.
+
+**Exact on Q-format data.**  On fixed-point operands (every value an integer
+times one per-tensor power of two, see :mod:`repro.cnn.quantize`) whose
+partial sums fit float64's 53-bit significand, every float64 addition here
+is exact, so both references — and every simulator path that sums the same
+products in another order — return bit-equal ofmaps.  On arbitrary floats
+they agree to round-off only.
 """
 
 from __future__ import annotations
@@ -164,6 +171,6 @@ def conv2d_single_channel(ifmap: np.ndarray, kernel: np.ndarray, stride: int = 1
     if out_h <= 0 or out_w <= 0:
         raise WorkloadError("kernel larger than (padded) input")
     product = strided_windows(ifmap, size, stride, out_h, out_w) * kernel
-    # merging the kernel axes keeps NumPy's pairwise reduction order identical
-    # to the per-window np.sum of the original loop (bit-identical outputs)
+    # one contiguous K*K reduction per window: the same sum, element for
+    # element, as the per-window np.sum(window * kernel)
     return np.sum(product.reshape(out_h, out_w, size * size), axis=-1)

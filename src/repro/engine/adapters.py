@@ -11,7 +11,8 @@
 * :class:`CycleEngine` — the cycle-accurate simulator (vectorized fast path
   or register-accurate scalar cross-check) on synthetic seeded tensors;
 * :class:`FunctionalEngine` — the dataflow-level simulator (scalar window
-  walk, bit-identical vectorized fast path, or cross-checking ``both`` mode);
+  walk, per-stripe GEMM fast path, or cross-checking ``both`` mode) on
+  16-bit Q-format tensors, exact on every path;
 * :class:`BaselineEngine` — any :class:`~repro.baselines.base.AcceleratorModel`
   (Chain-NN itself, the memory-centric DaDianNao-like and the 2D spatial
   Eyeriss-like baselines of Table V).
@@ -35,6 +36,7 @@ from repro.baselines.memory_centric import MemoryCentricAccelerator
 from repro.baselines.spatial_2d import Spatial2DAccelerator
 from repro.cnn.generator import WorkloadGenerator
 from repro.cnn.network import Network
+from repro.cnn.quantize import quantize_layer_tensors
 from repro.core.accelerator import ChainNN
 from repro.core.config import MAINSTREAM_KERNEL_SIZES, ChainConfig
 from repro.core.utilization import minimum_utilization
@@ -375,10 +377,16 @@ class FunctionalEngine(Engine):
     """Dataflow-level simulation (window enumeration) of every conv layer.
 
     ``backend`` selects the scalar per-window walk (the historical default,
-    registered as ``functional``), the bit-identical vectorized fast path
+    registered as ``functional``), the per-stripe GEMM fast path
     (``functional-vectorized``) or the cross-checking ``both`` mode mirroring
-    the cycle simulator.
+    the cycle simulator.  Operands are quantised to the 16-bit Q-format the
+    chain's MACs carry, so every backend, worker count and algorithm is
+    exact (``max_abs_error`` 0) and the backends agree bit for bit.
     """
+
+    #: bumped when the simulated numbers change for the same inputs
+    #: (2: operands quantised to 16-bit Q-format)
+    VERSION = 2
 
     def __init__(self, seed: int = 2017, backend: str = "scalar",
                  workers: Optional[int] = None,
@@ -396,8 +404,8 @@ class FunctionalEngine(Engine):
         self.name = "functional" if backend == "scalar" else f"functional-{backend}"
         self._memo: Dict[str, Dict[str, Any]] = {}
         #: fan ofmap blocks over this many workers (vectorized backend only);
-        #: results are bit-identical serial or parallel, so the worker count
-        #: deliberately stays out of the engine fingerprint
+        #: results are bit-equal serial or parallel (Q-format operands), so
+        #: the worker count deliberately stays out of the engine fingerprint
         self.workers = workers
         from repro.runtime import shared_runtime
 
@@ -425,7 +433,8 @@ class FunctionalEngine(Engine):
         windows_kept = 0
         max_error = 0.0
         for layer in network.conv_layers:
-            ifmaps, weights = generator.layer_pair(layer)
+            ifmaps, weights, _, _ = quantize_layer_tensors(
+                *generator.layer_pair(layer))
             algorithm = "direct"
             if self.algorithm != "direct":
                 # lazy: repro.analysis closes an import cycle back into this
@@ -486,6 +495,7 @@ class FunctionalEngine(Engine):
     def fingerprint(self) -> Dict[str, Any]:
         fingerprint = {
             "name": self.name,
+            "version": self.VERSION,
             "seed": self.seed,
             "backend": self.backend,
             # every repro.kernels backend is bit-identical; the fingerprint

@@ -178,12 +178,17 @@ def functional_verification_section(
         "",
         "The functional (dataflow-level) simulator enumerates every scan",
         "window of the Chain-NN stripe/column-scan decomposition.  Its",
-        "vectorized NumPy backend evaluates whole window grids per channel",
-        "pair at once and derives the dataflow counters in closed form —",
-        "bit-identical ofmaps and identical `FunctionalRunStats` to the",
-        "scalar per-window walk (asserted by",
-        "`tests/test_sim_functional_vectorized.py`), which turns",
-        "whole-network dataflow verification into a seconds-scale CI step:",
+        "vectorized backend lowers each stripe's kept ofmap rows to an",
+        "im2col slice and computes them with one BLAS GEMM, and derives the",
+        "dataflow counters in closed form.  The data is 16-bit Q-format, so",
+        "every product and partial sum is an exact float64 integer multiple",
+        "of one power of two (the runner checks the bit-width bound per",
+        "layer): the ofmaps are bit-equal to the scalar per-window walk and",
+        "the im2col golden, and every conv stage verifies at max|err| = 0.",
+        "A MAC-coverage proof on index sets checks that the stripe plan",
+        "computes every ofmap pixel exactly once before any value is",
+        "computed (`tests/test_sim_functional_vectorized.py`).  Whole-network",
+        "dataflow verification is a seconds-scale CI step:",
         "",
         "```text",
         "repro verify --sim functional                     # tiny net, scalar-vs-vectorized cross-check",
@@ -266,9 +271,9 @@ def mapping_search_section(bench_path: str | Path = "BENCH_mapping.json") -> str
         "Objectives: `latency` (first-image), `throughput` (batch makespan),",
         "`energy` (J/batch), `edp` (energy x delay).  Every searched mapping",
         "is functionally verified: the vectorized functional simulator runs",
-        "the candidate's exact stripe plan and the ofmaps must be",
-        "bit-identical to the baseline full-stripe simulation and match the",
-        "im2col golden reference to float round-off (`--verify`,",
+        "the candidate's exact stripe plan on 16-bit Q-format tensors and",
+        "the ofmaps must be bit-identical to the baseline full-stripe",
+        "simulation and to the im2col golden reference (`--verify`,",
         "`tests/test_mapping.py`).",
         "",
     ]
@@ -477,14 +482,16 @@ def compiled_kernels_section(bench_path: str | Path = "BENCH_kernels.json") -> s
     lines = [
         "## Compiled kernels",
         "",
-        "The two hottest inner loops — the functional simulator's ofmap",
-        "block product and the mapping-candidate scorer — dispatch through",
-        "the pluggable `repro.kernels` registry: a `numpy` reference backend",
-        "and a `numba` JIT backend that reproduces NumPy's pairwise",
-        "summation order, so the backends are **bit-identical** (held by",
-        "`tests/test_kernels.py` in the CI equivalence gate) and the",
-        "selection (`--kernel-backend`, `$REPRO_KERNEL_BACKEND`, or",
-        "autodetection) only changes wall-clock time:",
+        "The mapping-candidate scorer and the Winograd group convolution",
+        "dispatch through the pluggable `repro.kernels` registry: a `numpy`",
+        "reference backend and a `numba` JIT backend that performs the same",
+        "float64 operations in the same order, so the backends are",
+        "**bit-identical** (held by `tests/test_kernels.py` in the CI",
+        "equivalence gate) and the selection (`--kernel-backend`,",
+        "`$REPRO_KERNEL_BACKEND`, or autodetection) only changes wall-clock",
+        "time.  The functional simulator's ofmap block product is one BLAS",
+        "GEMM both backends share: it is exact on Q-format data, so a",
+        "compiled copy would buy nothing.",
         "",
         "```text",
         "repro --kernel-backend numba verify --sim functional --network vgg16",
@@ -499,7 +506,7 @@ def compiled_kernels_section(bench_path: str | Path = "BENCH_kernels.json") -> s
             bench = json.loads(bench_path.read_text(encoding="utf-8"))
         except ValueError:
             bench = None
-    if bench and "ofmap_numpy_seconds" in bench:
+    if bench and "scorer_numpy_seconds" in bench:
         backends = ", ".join(bench.get("backends_available", []) or ["numpy"])
         lines += [
             f"Measured (`BENCH_kernels.json`, backends available: {backends};"
@@ -508,11 +515,9 @@ def compiled_kernels_section(bench_path: str | Path = "BENCH_kernels.json") -> s
             "| kernel | numpy seconds | numba seconds | speedup |",
             "| --- | --- | --- | --- |",
         ]
-        for prefix, label in (("ofmap", f"ofmap block product "
-                                        f"(`{bench.get('ofmap_layer', '?')}`)"),
-                              ("scorer", f"candidate scorer "
+        for prefix, label in (("scorer", f"candidate scorer "
                                          f"({bench.get('scorer_candidates', 0):,}"
-                                         f" candidates)")):
+                                         f" candidates)"),):
             numpy_s = bench.get(f"{prefix}_numpy_seconds")
             numba_s = bench.get(f"{prefix}_numba_seconds")
             speedup = bench.get(f"{prefix}_speedup_numba_vs_numpy")
@@ -527,7 +532,7 @@ def compiled_kernels_section(bench_path: str | Path = "BENCH_kernels.json") -> s
             "Without numba the registry serves the reference backend (with a",
             "one-line warning when numba was explicitly requested), so the",
             "speedup column only appears on numba-equipped runners; the",
-            "timing-mode floors are 5x (ofmap) and 3x (scorer).",
+            "timing-mode floor is 3x.",
         ]
     else:
         lines += [
@@ -566,8 +571,10 @@ def winograd_execution_section(bench_path: str | Path = "BENCH_winograd.json") -
         "```",
         "",
         "The functional Winograd backend is bit-identical across kernel",
-        "backends and block partitions, and matches the im2col golden",
-        "reference within `1e-6` relative to the accumulator scale",
+        "backends and block partitions.  F(2x2,3x3) transforms use only",
+        "{0, ±1, ±1/2}, so on the 16-bit Q-format data of `repro verify`",
+        "it is bit-equal to the im2col golden (tolerance 0); on unquantised",
+        "floats it matches within `1e-6` relative to the accumulator scale",
         "(`tests/test_winograd.py` in the CI equivalence gate).  The cost",
         "model charges the 16/9 kMemory inflation of transformed filters,",
         "a 1.25x PE energy factor and the tile transforms, so `auto`",

@@ -5,10 +5,9 @@ simulator's ofmap block product, the mapping-candidate scorer, and their
 Winograd F(2x2,3x3) counterparts (``winograd_group_conv``,
 ``score_mappings_winograd``): the ``numpy`` reference (the specification)
 and a ``numba`` JIT backend with graceful fallback when numba is not
-installed.  The direct kernels are bit-identical to NumPy's pairwise
-reduction order; the Winograd kernels are bit-identical *to each other*
-across backends and block partitions, and tolerance-checked against the
-im2col golden (the transforms reassociate the reduction).  See
+installed.  The ofmap block product is one BLAS GEMM shared by both
+backends (exact on Q-format operands); the scorers and the Winograd
+kernels are bit-identical across backends and block partitions.  See
 :mod:`repro.kernels.registry` for the selection precedence
 (explicit argument > ``--kernel-backend`` CLI override >
 ``REPRO_KERNEL_BACKEND`` environment variable > autodetection).

@@ -2,25 +2,22 @@
 
 The compiled kernels reproduce the NumPy reference results *bit-for-bit*:
 
-* :func:`ofmap_block_product` re-implements NumPy's pairwise float64
-  summation order (the specification transcribed by
-  :func:`repro.kernels.numpy_backend.pairwise_sum_reference`) inside the
-  fused multiply/reduce loop, so the ofmaps match the reference — and
-  therefore the scalar walk and the im2col golden — exactly.  Only the
-  unrolled base case (``K^2 <= 128``, i.e. every kernel up to 11x11) is
-  compiled; larger kernels delegate to the reference implementation rather
-  than re-implement the recursive-halving branch.
+* :func:`winograd_group_conv` walks the F(2x2,3x3) tiles with the same
+  per-element adds, the same ascending input-channel accumulation and the
+  same inverse-transform association as the reference.
 * :func:`score_mappings` evaluates the integral-pass cost model as a scalar
   loop whose per-candidate arithmetic performs the same float64 operations
   in the same order as the reference's whole-array expressions (int64
   arithmetic is exact in both, and every int→float conversion point
   matches), so scores *and* argmins are identical.
 
-``fastmath`` stays off everywhere: it licenses reassociation, which is
-exactly what bit-identity forbids.  The module imports cleanly without
-numba (``NUMBA_AVAILABLE`` False, kernels left as uncompiled Python); the
-registry only routes here when the probe succeeds, and tests force the
-ImportError path via the registry's memoised probe.
+The ofmap block product has no compiled version: it is one BLAS GEMM,
+exact on the simulator's Q-format operands, and both backends share the
+NumPy implementation.  ``fastmath`` stays off everywhere: it licenses
+reassociation, which is exactly what bit-identity forbids.  The module
+imports cleanly without numba (``NUMBA_AVAILABLE`` False, kernels left as
+uncompiled Python); the registry only routes here when the probe succeeds,
+and tests force the ImportError path via the registry's memoised probe.
 """
 
 from __future__ import annotations
@@ -52,93 +49,6 @@ except Exception as _exc:  # ImportError, or a broken install failing later
 def numba_version() -> Optional[str]:
     """The imported numba's version string (None when unavailable)."""
     return getattr(numba, "__version__", None) if NUMBA_AVAILABLE else None
-
-
-@njit(cache=True)
-def _pairwise_small(values, n):  # pragma: no cover - exercised compiled
-    """NumPy's pairwise float64 sum for ``n <= 128`` contiguous elements.
-
-    The two base cases of the pairwise order specification (see
-    :mod:`repro.kernels.numpy_backend`): sequential from 0.0 below 8,
-    the 8-accumulator unrolled body with sequential tail up to 128.
-    """
-    if n < 8:
-        result = 0.0
-        for i in range(n):
-            result = result + values[i]
-        return result
-    r0 = values[0]
-    r1 = values[1]
-    r2 = values[2]
-    r3 = values[3]
-    r4 = values[4]
-    r5 = values[5]
-    r6 = values[6]
-    r7 = values[7]
-    i = 8
-    stop = n - (n % 8)
-    while i < stop:
-        r0 = r0 + values[i]
-        r1 = r1 + values[i + 1]
-        r2 = r2 + values[i + 2]
-        r3 = r3 + values[i + 3]
-        r4 = r4 + values[i + 4]
-        r5 = r5 + values[i + 5]
-        r6 = r6 + values[i + 6]
-        r7 = r7 + values[i + 7]
-        i += 8
-    result = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    while i < n:
-        result = result + values[i]
-        i += 1
-    return result
-
-
-@njit(parallel=False, cache=True)
-def _ofmap_block_product(windows, kern2, out_block):  # pragma: no cover
-    """Fused multiply/pairwise-reduce/accumulate over one ofmap block.
-
-    ``windows``: contiguous ``(out_h, out_w, K*K)`` float64;
-    ``kern2``: contiguous ``(Mb, K*K)`` float64;
-    ``out_block``: ``(Mb, out_h, out_w)`` float64, accumulated in place.
-
-    Loop nest: spatial position outermost (the window stays hot in L1
-    across the whole ofmap block), kernels inner.  One pass, no
-    materialised product array — the compiled win over the reference.
-    """
-    out_h, out_w, n = windows.shape
-    m_count = kern2.shape[0]
-    buffer = np.empty(n, dtype=np.float64)
-    for y in range(out_h):
-        for x in range(out_w):
-            window = windows[y, x]
-            for m in range(m_count):
-                kernel = kern2[m]
-                for t in range(n):
-                    buffer[t] = window[t] * kernel[t]
-                out_block[m, y, x] += _pairwise_small(buffer, n)
-
-
-def ofmap_block_product(plane_windows: np.ndarray, kernels: np.ndarray,
-                        out_block: np.ndarray) -> None:
-    """Compiled ofmap block product; same contract as the reference.
-
-    Delegates to the NumPy reference when the merged kernel axis would hit
-    the recursive-halving branch of the pairwise order (``K^2 > 128``, i.e.
-    kernels larger than 11x11 — none in the mainstream set) or when the
-    output slice is not contiguous.
-    """
-    from repro.kernels import numpy_backend
-
-    k = kernels.shape[-1]
-    n = k * k
-    if n > 128 or not out_block.flags.c_contiguous:
-        numpy_backend.ofmap_block_product(plane_windows, kernels, out_block)
-        return
-    m_count, out_h, out_w = out_block.shape
-    windows = np.ascontiguousarray(plane_windows, dtype=np.float64)
-    kern2 = np.ascontiguousarray(kernels, dtype=np.float64).reshape(m_count, n)
-    _ofmap_block_product(windows.reshape(out_h, out_w, n), kern2, out_block)
 
 
 @njit(parallel=False, cache=True)

@@ -1,29 +1,13 @@
 """NumPy reference implementations of the hot kernels.
 
-This backend *is* the specification: every other backend must reproduce its
-float64 results bit-for-bit.  The code here is the inner arithmetic that
-previously lived inline in :mod:`repro.sim.functional_vectorized` and
-:class:`repro.analysis.batch.MappingBatchEvaluator`, moved behind the
-:mod:`repro.kernels` registry unchanged.
-
-**The reduction-order contract.**  Bit-identity between the vectorized
-ofmap path, the scalar per-window walk and any compiled backend hinges on
-one NumPy implementation detail: ``np.sum`` over a contiguous float64 axis
-of length ``n`` uses *pairwise summation* with an unrolled base case.  The
-exact order, which :func:`pairwise_sum_reference` transcribes (and
-``tests/test_kernels.py`` pins against ``np.sum`` for every ``n`` up to
-128):
-
-* ``n < 8`` — a sequential left-to-right sum starting from ``0.0``;
-* ``8 <= n <= 128`` — eight running accumulators seeded from the first
-  eight elements, advanced eight-at-a-time over the unrolled body, combined
-  as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then a sequential tail;
-* ``n > 128`` — recursive halving (the split point rounded down to a
-  multiple of 8).
-
-The kernel axes are merged before the reduction (``reshape(..., K*K)``)
-precisely so the reduction runs over the same ``K^2`` contiguous elements
-in this order as the scalar ``np.sum(window * kernel)``.
+This backend is the specification the compiled backend is checked against.
+The ofmap block product is one BLAS GEMM, shared by every backend: on the
+Q-format operands the functional simulator feeds it, every summation order
+is exact (see :mod:`repro.sim.functional_vectorized`), so there is no
+reduction order to reproduce.  The mapping-candidate scorers and the
+Winograd group convolution are the arithmetic that previously lived inline
+in :class:`repro.analysis.batch.MappingBatchEvaluator` and
+:mod:`repro.sim.winograd`, moved behind the :mod:`repro.kernels` registry.
 """
 
 from __future__ import annotations
@@ -35,60 +19,15 @@ import numpy as np
 from repro.kernels.registry import MappingCostParams
 
 
-def pairwise_sum_reference(values: np.ndarray) -> float:
-    """Pure-Python transcription of NumPy's pairwise float64 sum order.
-
-    Bit-identical to ``float(np.sum(values))`` for contiguous 1D float64
-    input — the order specification the compiled backends implement.
-    """
-    n = values.shape[0]
-    if n < 8:
-        result = 0.0
-        for i in range(n):
-            result = result + values[i]
-        return result
-    if n <= 128:
-        r = [float(values[i]) for i in range(8)]
-        i = 8
-        while i < n - (n % 8):
-            for j in range(8):
-                r[j] = r[j] + values[i + j]
-            i += 8
-        result = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        while i < n:
-            result = result + values[i]
-            i += 1
-        return result
-    half = n // 2
-    half -= half % 8
-    return pairwise_sum_reference(values[:half]) + pairwise_sum_reference(values[half:])
-
-
-def ofmap_block_product(plane_windows: np.ndarray, kernels: np.ndarray,
+def ofmap_block_product(kernel_matrix: np.ndarray, cols: np.ndarray,
                         out_block: np.ndarray) -> None:
-    """Accumulate one ifmap channel's contribution to an ofmap block.
+    """Add one stripe's GEMM into an ofmap block: ``out += W @ cols``.
 
-    ``plane_windows`` is the channel's contiguous ``(out_h, out_w, K, K)``
-    float64 kept-window tensor, ``kernels`` the ``(Mb, K, K)`` float64
-    kernels of the ofmap block, ``out_block`` the ``(Mb, out_h, out_w)``
-    float64 ofmap slice to accumulate into (``+=``).
-
-    One broadcasted multiply followed by a merged-kernel-axis reduction:
-    the product is contiguous, so the ``axis=-1`` sum runs over the same
-    ``K^2`` contiguous elements with the same pairwise order NumPy uses for
-    the scalar per-window ``np.sum(window * kernel)``.
+    ``kernel_matrix`` is the ``(Mb, C/g * K * K)`` float64 kernel block,
+    ``cols`` the stripe's ``(C/g * K * K, rows * out_w)`` im2col slice and
+    ``out_block`` the ``(Mb, rows, out_w)`` ofmap slice to accumulate into.
     """
-    m_count, out_h, out_w = out_block.shape
-    k = kernels.shape[-1]
-    # contiguous (Mb, out_h, out_w, K, K) product; merging the kernel axes
-    # before the sum keeps NumPy's pairwise reduction order identical to
-    # the scalar per-window np.sum
-    product = plane_windows[None] * kernels[:, None, None]
-    sums = np.sum(product.reshape(m_count, out_h, out_w, k * k), axis=-1)
-    # release the block product before the caller's next block allocates:
-    # keeping it alive across iterations doubles peak memory
-    del product
-    out_block += sums
+    out_block += (kernel_matrix @ cols).reshape(out_block.shape)
 
 
 def winograd_group_conv(ext: np.ndarray, u: np.ndarray,
@@ -102,10 +41,11 @@ def winograd_group_conv(ext: np.ndarray, u: np.ndarray,
     ``(Mb, out_h, out_w)`` float64 ofmap block, **assigned** (not
     accumulated).
 
-    Unlike the direct kernels, the Winograd backends are not bit-identical
-    to the im2col golden — the transforms reassociate the 3x3 reduction —
-    but the numpy and numba implementations *are* bit-identical to each
-    other: the input transform is explicit adds, the transform-domain
+    On Q-format operands the result is bit-equal to the im2col golden (see
+    :mod:`repro.sim.winograd`); on unquantised floats the transforms
+    reassociate the 3x3 reduction and it is only tolerance-close.  The
+    numpy and numba implementations are bit-identical to each other on any
+    input: the input transform is explicit adds, the transform-domain
     accumulation runs over input channels in ascending order element by
     element, and the inverse transform uses the same association, so any
     partition of the ofmap block (serial, parallel workers, either backend)

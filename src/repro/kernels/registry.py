@@ -1,15 +1,15 @@
-"""Kernel-backend registry: named implementations of the two hot loops.
+"""Kernel-backend registry: named implementations of the hot loops.
 
 The library's per-element inner kernels — the functional simulator's ofmap
-block product (:mod:`repro.sim.functional_vectorized`) and the mapping-
-candidate scorer (:class:`repro.analysis.batch.MappingBatchEvaluator`) —
-dispatch through this registry so the *same* call sites can run either the
-NumPy reference implementation or a compiled (Numba JIT) equivalent.  The
-contract every backend must honour is **bit-identity**: identical float64
-results, not merely allclose, which requires reproducing NumPy's pairwise
-summation order exactly (see :mod:`repro.kernels.numpy_backend` for the
-order specification and :mod:`repro.kernels.numba_backend` for the compiled
-re-implementation).
+block product (:mod:`repro.sim.functional_vectorized`), the mapping-
+candidate scorer (:class:`repro.analysis.batch.MappingBatchEvaluator`) and
+their Winograd counterparts — dispatch through this registry so the *same*
+call sites can run either the NumPy reference implementation or a compiled
+(Numba JIT) equivalent.  The contract every backend must honour is
+**bit-identity** with the reference: identical float64 results, not merely
+allclose (see :mod:`repro.kernels.numba_backend`).  The ofmap block product
+is one BLAS GEMM that every backend shares: it is exact on the simulator's
+Q-format operands, so a compiled version would buy nothing.
 
 Selection precedence (first match wins):
 
@@ -96,8 +96,8 @@ class MappingCostParams:
 class KernelBackend:
     """One named implementation of the hot kernels.
 
-    ``ofmap_block_product(plane_windows, kernels, out_block)`` accumulates
-    one ifmap channel's contribution to a block of ofmap channels;
+    ``ofmap_block_product(kernel_matrix, cols, out_block)`` adds one
+    stripe's GEMM ``kernel_matrix @ cols`` into a block of ofmap rows;
     ``score_mappings(params, primitives, stripe_height, chunk, image_major)``
     scores mapping-candidate columns.  The Winograd pair mirrors them for
     the transform-domain execution mode:
@@ -205,11 +205,12 @@ def _numpy_backend() -> KernelBackend:
 
 def _numba_backend() -> KernelBackend:
     if "numba" not in _backends:
-        from repro.kernels import numba_backend
+        from repro.kernels import numba_backend, numpy_backend
         _backends["numba"] = KernelBackend(
             name="numba",
             version=numba_backend.numba_version(),
-            ofmap_block_product=numba_backend.ofmap_block_product,
+            # the GEMM is exact on Q-format data: nothing to compile
+            ofmap_block_product=numpy_backend.ofmap_block_product,
             score_mappings=numba_backend.score_mappings,
             winograd_group_conv=numba_backend.winograd_group_conv,
             score_mappings_winograd=numba_backend.score_mappings_winograd,
@@ -284,18 +285,15 @@ def backend_fingerprint(name: Optional[str] = None) -> Dict[str, Optional[str]]:
 
 
 def warmup(name: Optional[str] = None) -> str:
-    """Run tiny inputs through both kernels of the resolved backend.
+    """Run tiny inputs through the compiled kernels of the resolved backend.
 
     For the numba backend this triggers (or loads the on-disk cache of) the
     JIT compilation once, so worker processes pay the compile cost at pool
-    start-up instead of inside the first real task.  Returns the effective
+    start-up instead of inside the first real task.  The shared GEMM ofmap
+    kernel has nothing to compile and is skipped.  Returns the effective
     backend name.
     """
     backend = get_backend(name)
-    windows = np.arange(2 * 2 * 3 * 3, dtype=np.float64).reshape(2, 2, 3, 3)
-    kernels = np.linspace(-1.0, 1.0, 2 * 3 * 3).reshape(2, 3, 3)
-    out = np.zeros((2, 2, 2), dtype=np.float64)
-    backend.ofmap_block_product(windows, kernels, out)
     params = MappingCostParams(
         kernel_area=9, channel_pairs=4, per_stripe_cycles=21, out_height=4,
         weight_count=72, batch=2, ofmap_words=32, stride=1, kernel_size=3,

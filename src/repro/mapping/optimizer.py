@@ -20,9 +20,9 @@ would not guarantee it.
 Whole searches are memoised in :class:`repro.engine.cache.RunCache` (keyed
 by configuration, workload, batch, objective and the full strategy
 fingerprint), and :meth:`ScheduleOptimizer.verify` drives every searched
-mapping through the :class:`~repro.sim.functional.FunctionalChainSimulator`:
-the candidate's ofmaps must match the im2col golden reference to float
-round-off and be bit-identical to the baseline-stripe simulation.
+mapping through the :class:`~repro.sim.functional.FunctionalChainSimulator`
+on Q-format tensors: the candidate's ofmaps must match the im2col golden
+reference and be bit-identical to the baseline-stripe simulation.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import numpy as np
 from repro.analysis.batch import MAPPING_RESULT_COLUMNS, MappingBatchEvaluator
 from repro.cnn.generator import WorkloadGenerator
 from repro.cnn.network import Network
+from repro.cnn.quantize import quantize_layer_tensors
 from repro.core.config import ChainConfig
 from repro.energy.components import EnergyParams
 from repro.engine.base import RunRecord
@@ -63,11 +64,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime import WorkerError, shared_runtime
 from repro.sim.functional import FunctionalChainSimulator
-from repro.sim.winograd import (
-    conv2d_winograd,
-    winograd_ofmap_block,
-    winograd_tolerance,
-)
+from repro.sim.winograd import conv2d_winograd, winograd_ofmap_block
 
 # parent-side search counters: candidates_searched aggregates the per-layer
 # evaluation counts from the entry results, so it is correct whether layers
@@ -333,9 +330,9 @@ class LayerVerification:
     stripe simulation; for Winograd mappings it compares the whole-ofmap
     transform-domain result against an ofmap-channel block partition (the
     parallel runtime's bit-identity ladder).  ``tolerance`` overrides the
-    network-wide golden tolerance when set — Winograd entries carry the
-    documented :func:`repro.sim.winograd.winograd_tolerance` bound because
-    the transforms reassociate the reduction.
+    network-wide golden tolerance when set — Winograd entries carry 0: on
+    the Q-format operands verification uses, the F(2x2,3x3) transforms are
+    exact.
     """
 
     layer_name: str
@@ -633,19 +630,18 @@ class ScheduleOptimizer:
         """Functionally verify every searched mapping of ``schedule``.
 
         Each distinct (layer geometry, stripe height) pair drives the
-        vectorized :class:`FunctionalChainSimulator` on seeded tensors; the
-        ofmaps must match the im2col golden reference within ``tolerance``
-        (float round-off — the simulator accumulates in window order, the
-        GEMM reference in im2col order) and be **bit-identical** to the
-        baseline full-stripe simulation.  A searched stripe height equal to
-        the baseline's runs the identical stripe plan, so the bit-identity
+        vectorized :class:`FunctionalChainSimulator` on seeded tensors
+        quantised to the chain's 16-bit Q-format, on which every summation
+        order is exact; the ofmaps must match the im2col golden reference
+        within ``tolerance`` and be **bit-identical** to the baseline
+        full-stripe simulation.  A searched stripe height equal to the
+        baseline's runs the identical stripe plan, so the bit-identity
         re-simulation only happens for genuinely re-striped layers.
 
         Winograd mappings run :func:`repro.sim.winograd.conv2d_winograd`
-        instead: the golden bound is the per-layer
-        :func:`~repro.sim.winograd.winograd_tolerance` (the transforms
-        reassociate the reduction) and the bit-identity check partitions the
-        ofmap channels into two blocks — the invariant the parallel runtime
+        instead: the golden bound is 0 (the transforms are exact on
+        Q-format operands) and the bit-identity check partitions the ofmap
+        channels into two blocks — the invariant the parallel runtime
         relies on.
         """
         outcome = MappingVerification(network_name=network.name, seed=seed,
@@ -667,7 +663,8 @@ class ScheduleOptimizer:
                 covers[verified[key]].append(layer.name)
                 continue
             generator = parent.spawn(layer.name)
-            ifmaps, weights = generator.layer_pair(layer)
+            ifmaps, weights, _, _ = quantize_layer_tensors(
+                *generator.layer_pair(layer))
             started = time.perf_counter()
             if entry.candidate.is_winograd:
                 reference = conv2d_im2col(layer, ifmaps, weights)
@@ -694,7 +691,7 @@ class ScheduleOptimizer:
                     bit_identical=identical,
                     windows_kept=tiles_h * tiles_w * layer.out_channels,
                     seconds=time.perf_counter() - started,
-                    tolerance=winograd_tolerance(reference),
+                    tolerance=0.0,
                 ))
                 continue
             run = simulator.run_layer(layer, ifmaps, weights, stripe_height=height)

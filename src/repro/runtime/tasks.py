@@ -149,12 +149,13 @@ def _verify_sim_block(payload: Dict[str, Any], context: Dict[str, Any]) -> int:
 
     The padded ifmaps, weights and the assembly buffer arrive as
     :class:`~repro.runtime.shm.SharedTensor` handles, so a VGG-scale tensor
-    crosses the process boundary as a few dozen bytes.  Block values are
-    bit-identical to the serial whole-layer computation because every ofmap
-    channel is an independent broadcast-multiply/merged-axis reduction.
-    ``algorithm`` routes the block to the direct sliding-window kernel
-    (default) or the Winograd F(2x2,3x3) tile kernel — whose per-channel
-    independence gives the same partition bit-identity.
+    crosses the process boundary as a few dozen bytes.  On Q-format operands
+    block values are bit-equal to the serial whole-layer computation
+    because every ofmap channel is an independent row of the per-stripe
+    GEMMs, and float64 accumulation is exact.  ``algorithm`` routes the
+    block to the direct per-stripe GEMM (default, following
+    ``stripe_height``) or the Winograd F(2x2,3x3) tile kernel — whose
+    per-channel independence gives the same partition bit-identity.
     """
     from repro.sim.functional_vectorized import vectorized_ofmap_block
     from repro.sim.winograd import winograd_ofmap_block
@@ -176,7 +177,8 @@ def _verify_sim_block(payload: Dict[str, Any], context: Dict[str, Any]) -> int:
         else:
             vectorized_ofmap_block(layer, padded, weights, m_start, m_stop,
                                    out=out,
-                                   kernel_backend=payload.get("kernel_backend"))
+                                   kernel_backend=payload.get("kernel_backend"),
+                                   stripe_height=payload.get("stripe_height"))
     finally:
         padded_handle.close()
         weights_handle.close()

@@ -9,8 +9,10 @@ from repro.sim.functional import (
 )
 from repro.sim.functional_vectorized import (
     PairWindowStats,
+    StripeCoverage,
     pair_window_stats,
     stride_keep_mask,
+    stripe_coverage,
     vectorized_layer_ofmaps,
 )
 from repro.sim.network import (
@@ -33,10 +35,12 @@ __all__ = [
     "NetworkRunResult",
     "PairWindowStats",
     "StageReport",
+    "StripeCoverage",
     "TraceEvent",
     "TraceLog",
     "pair_window_stats",
     "pool2d",
     "stride_keep_mask",
+    "stripe_coverage",
     "vectorized_layer_ofmaps",
 ]

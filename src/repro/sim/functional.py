@@ -12,10 +12,20 @@ Two backends share one result contract (mirroring the cycle simulator):
 
 * ``scalar`` — the per-window Python walk over every channel pair;
 * ``vectorized`` — :mod:`repro.sim.functional_vectorized`, the same
-  decomposition as whole-array NumPy operations with closed-form counters,
-  bit-identical ofmaps and identical :class:`FunctionalRunStats`;
+  stripe plan as one BLAS GEMM per stripe with closed-form counters and
+  identical :class:`FunctionalRunStats`;
 * ``both`` — run both and raise :class:`~repro.errors.SimulationError` on
   any divergence (the cross-check mode ``repro verify`` uses).
+
+**Exact on Q-format data.**  The ofmaps are bit-equal across backends, ofmap
+block partitions, stripe heights and the im2col golden whenever the
+operands are fixed-point (Q-format) values whose partial sums fit float64's
+53-bit significand — the case the network runner checks per layer
+(:func:`repro.sim.network.accumulator_bits`).  Then every float64 addition
+is exact and summation order cannot matter.  On unquantised floats the
+paths agree to round-off only.  Independently of values, every direct run
+first proves the stripe plan's MAC coverage on index sets
+(:func:`~repro.sim.functional_vectorized.stripe_coverage`).
 
 Strided layers use the stream-everything-discard policy discussed in
 DESIGN.md: the scan runs at stride-1 cadence over the padded input and
@@ -25,7 +35,7 @@ windows that do not fall on the stride grid are dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -36,7 +46,12 @@ from repro.core.mapper import LayerMapper, LayerMapping
 from repro.core.scan import ColumnScanSchedule
 from repro.errors import ConfigurationError, SimulationError, WorkloadError
 from repro.kernels import resolve_backend_name
-from repro.sim.functional_vectorized import pair_window_stats, vectorized_layer_ofmaps
+from repro.sim import functional_vectorized
+from repro.sim.functional_vectorized import (
+    pair_window_stats,
+    stripe_coverage,
+    vectorized_layer_ofmaps,
+)
 
 # NOTE: repro.analysis.winograd / repro.sim.winograd are imported lazily
 # inside the Winograd code paths — repro.sim is itself imported while
@@ -105,26 +120,13 @@ class FunctionalChainSimulator:
         self.backend = backend
         #: effective :mod:`repro.kernels` backend of the vectorized path
         #: (resolved once at construction so parallel workers inherit the
-        #: same choice; every backend is bit-identical)
+        #: same choice)
         self.kernel_backend = resolve_backend_name(kernel_backend)
         self.mapper = LayerMapper(self.config)
 
     # ------------------------------------------------------------------ #
-    # stripe helpers
+    # scalar walk
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _stripe_bases(padded_height: int, kernel_size: int,
-                      stripe_height: int) -> List[int]:
-        """Starting input rows of the stride-1 stripes covering the feature map.
-
-        ``stripe_height`` is the number of stride-1 output rows each stripe
-        produces (the paper's full stripe uses ``K``; the mapping-search
-        subsystem explores ``1..K``).
-        """
-        out_rows_stride1 = padded_height - kernel_size + 1
-        bases = list(range(0, out_rows_stride1, stripe_height))
-        return bases
-
     def _process_pair(
         self,
         layer: ConvLayer,
@@ -139,7 +141,8 @@ class FunctionalChainSimulator:
         stride = layer.stride
         padded_height, padded_width = plane.shape
         kernel_col_major = kernel  # indexed [i, j] directly below
-        for base in self._stripe_bases(padded_height, k, stripe_height):
+        for base in functional_vectorized.stripe_bases(padded_height, k,
+                                                       stripe_height):
             rows = min(stripe_height + k - 1, padded_height - base)
             if rows < k:
                 continue
@@ -211,6 +214,20 @@ class FunctionalChainSimulator:
         )
 
     @staticmethod
+    def _check_coverage(layer: ConvLayer, stripe_height: int,
+                        mapping: LayerMapping) -> None:
+        """Raise unless the stripe plan performs every MAC exactly once."""
+        coverage = stripe_coverage(layer, stripe_height)
+        problems = coverage.problems(layer)
+        if coverage.pairs != mapping.channel_pairs:
+            problems.append(f"{coverage.pairs} channel pairs visited, mapping "
+                            f"has {mapping.channel_pairs}")
+        if problems:
+            raise SimulationError(
+                f"{layer.name}: stripe plan (height {stripe_height}) breaks "
+                f"MAC coverage: {'; '.join(problems)}")
+
+    @staticmethod
     def _winograd_stats(layer: ConvLayer) -> FunctionalRunStats:
         """Layer counters of the transform-domain execution, closed form.
 
@@ -249,8 +266,8 @@ class FunctionalChainSimulator:
         :mod:`repro.kernels`); the cross-checking ``both`` backend
         additionally recomputes the layer on the numpy reference kernel and
         requires bit-identity — the Winograd kernels are bit-identical to
-        each other even though they are only tolerance-close to the im2col
-        golden.
+        each other on any input, and to the im2col golden on Q-format
+        operands.
         """
         from repro.sim.winograd import winograd_ofmap_block
 
@@ -304,16 +321,20 @@ class FunctionalChainSimulator:
 
         ``stripe_height`` overrides the ofmap rows computed per stripe (the
         default is the paper's full ``K``-row stripe).  Any legal height
-        partitions the same window set differently, so the ofmaps are
-        bit-identical across heights — the property the mapping-search
-        verification relies on — while the dataflow counters (stripes,
-        streamed pixels, primitive cycles) honestly reflect the choice.
+        partitions the same window set differently — the MAC-coverage proof
+        checks that before anything is computed — so on Q-format operands
+        the ofmaps are bit-equal across heights, the property the
+        mapping-search verification relies on, while the dataflow counters
+        (stripes, streamed pixels, primitive cycles) honestly reflect the
+        choice.  A plan with a gap or a duplicate raises
+        :class:`~repro.errors.SimulationError`.
 
         ``algorithm="winograd"`` executes the F(2x2,3x3) transform-domain
-        mode instead (3x3 stride-1 layers only): results match the im2col
-        golden within :func:`repro.sim.winograd.winograd_tolerance` rather
-        than bit-identically, and the stripe-height knob does not apply (the
-        4x4 tile grid fixes the stripe plan).
+        mode instead (3x3 stride-1 layers only): bit-equal to the im2col
+        golden on Q-format operands, within
+        :func:`repro.sim.winograd.winograd_tolerance` on unquantised floats;
+        the stripe-height knob does not apply (the 4x4 tile grid fixes the
+        stripe plan).
         """
         if algorithm not in SIM_ALGORITHMS:
             raise ConfigurationError(
@@ -327,6 +348,7 @@ class FunctionalChainSimulator:
 
         if algorithm == "winograd":
             return self._run_winograd(layer, padded, weights, mapping)
+        self._check_coverage(layer, stripe_height, mapping)
         if self.backend == "both":
             scalar = self._run_backend("scalar", layer, padded, weights, mapping,
                                        stripe_height)
@@ -354,12 +376,12 @@ class FunctionalChainSimulator:
         """Simulate one layer with ofmap blocks fanned over ``runtime``.
 
         Requires the vectorized backend: every ofmap channel is an
-        independent broadcast-multiply/merged-axis reduction, so the padded
-        ifmaps and weights ship to the persistent workers once through
-        shared memory, each worker writes its channel block into a shared
-        assembly buffer, and the dataflow counters come from the same closed
-        forms the vectorized backend uses — ofmaps *and* stats are
-        bit-identical to :meth:`run_layer`.  The Winograd algorithm keeps
+        independent row of the per-stripe GEMMs, so the padded ifmaps and
+        weights ship to the persistent workers once through shared memory,
+        each worker writes its channel block into a shared assembly buffer,
+        and the dataflow counters come from the same closed forms the
+        vectorized backend uses — on Q-format operands ofmaps *and* stats
+        are bit-equal to :meth:`run_layer`.  The Winograd algorithm keeps
         the same decomposition (its transform-domain accumulation is also
         per-ofmap-channel independent), so the partition invariant holds for
         both algorithms.
@@ -381,6 +403,8 @@ class FunctionalChainSimulator:
             layer, ifmaps, weights, stripe_height)
         mapping = self.mapper.map_layer(layer)
         padded = pad_input(ifmaps, layer.padding)
+        if algorithm != "winograd":
+            self._check_coverage(layer, stripe_height, mapping)
 
         handles = []
         try:
@@ -407,6 +431,7 @@ class FunctionalChainSimulator:
                     "m_stop": m_stop,
                     "kernel_backend": self.kernel_backend,
                     "algorithm": algorithm,
+                    "stripe_height": stripe_height,
                 }
                 for m_start, m_stop in ofmap_block_ranges(layer, runtime.workers)
             ])
@@ -427,7 +452,8 @@ class FunctionalChainSimulator:
         """One backend's simulation of an already-validated layer."""
         if backend == "vectorized":
             ofmaps = vectorized_layer_ofmaps(layer, padded, weights,
-                                             kernel_backend=self.kernel_backend)
+                                             kernel_backend=self.kernel_backend,
+                                             stripe_height=stripe_height)
             stats = self._closed_form_stats(layer, stripe_height)
         else:
             ofmaps = np.zeros(layer.out_shape, dtype=np.float64)
@@ -455,10 +481,11 @@ class FunctionalChainSimulator:
                       algorithm: str = "direct") -> Dict[str, float]:
         """Run the simulation and compare against the reference convolution.
 
-        Winograd runs should pass the documented
-        :func:`repro.sim.winograd.winograd_tolerance` bound as ``tolerance``
-        (the transforms reassociate the reduction, so the direct float
-        round-off default is not the right contract).
+        On Q-format operands both algorithms are exact and ``tolerance=0``
+        holds.  Winograd runs on unquantised floats should pass the
+        documented :func:`repro.sim.winograd.winograd_tolerance` bound (the
+        transforms reassociate the reduction, so the direct float round-off
+        default is not the right contract there).
         """
         result = self.run_layer(layer, ifmaps, weights, algorithm=algorithm)
         error = result.max_abs_error_vs_reference(ifmaps, weights)

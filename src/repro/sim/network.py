@@ -13,8 +13,20 @@ applied in NumPy so inter-layer feature-map shapes stay faithful; fully
 connected layers end the chain (the paper's accelerator only executes
 convolutions).
 
-With the vectorized backend this turns whole-network functional
-verification of AlexNet/VGG from an overnight job into a seconds-scale step
+**Exact on Q-format data.**  With quantisation on (the default) every
+operand is an integer times a per-tensor power of two, so a product needs
+at most ``2 * (total_bits - 1)`` significant bits and a ``K^2 * C/g``-term
+sum ``ceil(log2(K^2 * C/g))`` more.  While that stays within float64's 53-bit
+significand every addition is exact, whatever its order: the simulator, the
+im2col golden and any ofmap block partition agree bit for bit, and every
+conv stage — direct or Winograd — verifies at tolerance 0.  The runner
+checks the bound (:func:`accumulator_bits`) before each conv stage and
+raises :class:`~repro.errors.QuantizationError` rather than verify a layer
+it cannot hold exact.  With quantisation off, stages fall back to the
+round-off tolerances.
+
+With the vectorized backend whole-network functional verification of
+AlexNet/VGG is a seconds-scale step
 (``repro verify --sim functional --network alexnet``).
 """
 
@@ -32,7 +44,7 @@ from repro.cnn.network import Network
 from repro.cnn.quantize import choose_format
 from repro.cnn.reference import conv2d_im2col, strided_windows
 from repro.core.config import ChainConfig
-from repro.errors import WorkloadError
+from repro.errors import QuantizationError, WorkloadError
 from repro.obs import trace as obs_trace
 from repro.runtime import ParallelRuntime, WorkerError, shared_runtime
 from repro.sim.functional import (
@@ -49,6 +61,41 @@ from repro.sim.functional import (
 #: network-level algorithm modes (``auto`` and ``winograd`` both run the
 #: transform domain on every eligible layer; ineligible layers stay direct)
 NETWORK_ALGORITHMS = ("direct", "winograd", "auto")
+
+#: float64 significand bits: every integer of magnitude <= 2**53 is exact
+FLOAT64_EXACT_BITS = 53
+
+
+def accumulator_bits(layer: ConvLayer, total_bits: int,
+                     algorithm: str = "direct") -> int:
+    """Significant bits the largest partial sum of ``layer`` can need.
+
+    Operands are ``total_bits``-bit Q-format values (magnitude at most
+    ``2**(total_bits - 1)`` LSBs), so a product needs ``2 * (total_bits -
+    1)`` bits and a direct ``K^2 * C/g``-term sum ``ceil(log2(K^2 * C/g))``
+    more.  Winograd sums only ``C/g`` transform-domain products but its
+    transforms grow the operands by
+    :data:`repro.sim.winograd.WINOGRAD_GROWTH_BITS`.  The result is exact in
+    float64 while this stays <= :data:`FLOAT64_EXACT_BITS`.
+    """
+    product_bits = 2 * (total_bits - 1)
+    # (n - 1).bit_length() == ceil(log2(n)) for n >= 1
+    if algorithm == "winograd":
+        from repro.sim.winograd import WINOGRAD_GROWTH_BITS
+
+        return (product_bits + WINOGRAD_GROWTH_BITS
+                + (layer.in_channels_per_group - 1).bit_length())
+    return product_bits + (layer.macs_per_output - 1).bit_length()
+
+
+def check_accumulator_bits(layer: ConvLayer, total_bits: int,
+                           algorithm: str = "direct") -> None:
+    """Raise :class:`QuantizationError` unless ``layer`` accumulates exactly."""
+    bits = accumulator_bits(layer, total_bits, algorithm)
+    if bits > FLOAT64_EXACT_BITS:
+        raise QuantizationError(
+            f"{layer.name}: {total_bits}-bit {algorithm} accumulation needs "
+            f"{bits} bits, float64 holds {FLOAT64_EXACT_BITS} exactly")
 
 
 def pool2d(activations: np.ndarray, layer: PoolingLayer) -> np.ndarray:
@@ -80,7 +127,8 @@ class StageReport:
     chain_cycles: float = 0.0
     #: execution algorithm of a conv stage
     algorithm: str = "direct"
-    #: per-stage golden bound override (Winograd stages carry the documented
+    #: per-stage golden bound override (0.0 on quantised runs, which are
+    #: exact; unquantised Winograd stages carry the documented
     #: :func:`repro.sim.winograd.winograd_tolerance`; ``None`` falls back to
     #: the network-wide tolerance)
     tolerance: Optional[float] = None
@@ -106,6 +154,8 @@ class NetworkRunResult:
     seed: int
     total_bits: int
     tolerance: float
+    #: operands quantised to ``total_bits`` Q-format (every stage exact)
+    quantized: bool = True
     stages: List[StageReport] = field(default_factory=list)
     stats: FunctionalRunStats = field(default_factory=FunctionalRunStats)
     chain_cycles_estimate: float = 0.0
@@ -125,8 +175,9 @@ class NetworkRunResult:
     def passed(self) -> bool:
         """True when every conv stage stayed within its tolerance.
 
-        Each stage checks against its own bound when set (Winograd stages),
-        the network-wide tolerance otherwise.
+        Each stage checks against its own bound when set (0 on quantised
+        runs, the Winograd tolerance on unquantised Winograd stages), the
+        network-wide tolerance otherwise.
         """
         return all(
             stage.max_abs_error
@@ -138,10 +189,11 @@ class NetworkRunResult:
         """Multi-line human-readable verification report."""
         lines = [stage.describe() for stage in self.stages]
         verdict = "PASSED" if self.passed else "FAILED"
+        bound = (f"exact on {self.total_bits}-bit Q-format" if self.quantized
+                 else f"tolerance {self.tolerance:.0e}")
         lines.append(
             f"functional verification {verdict}: {len(self.conv_stages)} conv "
-            f"layers, max|err|={self.max_abs_error:.2e} "
-            f"(tolerance {self.tolerance:.0e}), "
+            f"layers, max|err|={self.max_abs_error:.2e} ({bound}), "
             f"{self.stats.windows_kept} windows kept, "
             f"{self.seconds:.2f}s [{self.backend}]"
         )
@@ -175,8 +227,7 @@ class FunctionalNetworkRunner:
         self.quantize_between_stages = quantize_between_stages
         #: execution-algorithm mode: ``winograd``/``auto`` run the
         #: F(2x2,3x3) transform domain on every eligible (3x3 stride-1)
-        #: conv layer, with the documented per-stage tolerance; ineligible
-        #: layers always run direct
+        #: conv layer; ineligible layers always run direct
         self.algorithm = algorithm
         #: fan each conv layer's ofmap blocks over this many persistent
         #: workers (vectorized backend only; ``None``/1 = serial); the
@@ -193,8 +244,8 @@ class FunctionalNetworkRunner:
 
         Only the vectorized backend decomposes into independent ofmap
         blocks; the scalar and cross-checking backends always run serially.
-        A platform without process pools degrades to serial as well — the
-        results are bit-identical either way.
+        A platform without process pools degrades to serial as well — on
+        quantised runs the results are bit-equal either way.
         """
         if self.workers is None or self.workers <= 1:
             return None
@@ -236,9 +287,10 @@ class FunctionalNetworkRunner:
         once through shared memory, lets every worker write its ofmap
         channel block into a shared assembly buffer, and derives the
         dataflow counters from the same closed forms the vectorized backend
-        uses — so ofmaps *and* stats are bit-identical to the serial path
-        (`tests/test_runtime.py` holds this in the equivalence gate; the
-        Winograd block kernel preserves the same partition invariant).
+        uses — so on quantised runs ofmaps *and* stats are bit-equal to the
+        serial path (`tests/test_runtime.py` holds this in the equivalence
+        gate; the Winograd block kernel preserves the same partition
+        invariant).
         """
         runtime = self._ensure_runtime()
         if runtime is not None:
@@ -272,8 +324,10 @@ class FunctionalNetworkRunner:
         full ``K``-row stripes.  ``algorithms`` likewise maps layer names to
         execution algorithms (:meth:`~repro.mapping.OptimizedSchedule.
         algorithms`); unlisted layers follow the runner's algorithm mode.
-        Winograd stages record the documented per-stage tolerance instead of
-        the network-wide one.
+        Quantised runs check every conv stage's accumulator bound first and
+        record a per-stage tolerance of 0; unquantised Winograd stages
+        record the documented Winograd tolerance instead of the network-wide
+        one.
 
         ``progress`` is called with each :class:`StageReport` as it lands
         (the evaluation service streams these to clients as chunked
@@ -285,6 +339,7 @@ class FunctionalNetworkRunner:
             seed=self.seed,
             total_bits=self.total_bits,
             tolerance=self.tolerance,
+            quantized=self.quantize_between_stages,
         )
         generator = WorkloadGenerator(seed=self.seed)
         activations: Optional[np.ndarray] = None
@@ -300,6 +355,9 @@ class FunctionalNetworkRunner:
                         "convolution"
                     )
                 activations = pool2d(activations, layer)
+                if layer.mode == "avg":
+                    # a window mean leaves the fixed-point grid
+                    activations = self._quantize(activations)
                 result.stages.append(StageReport(
                     name=layer.name,
                     kind="pool",
@@ -319,6 +377,8 @@ class FunctionalNetworkRunner:
             weights = self._quantize(generator.weights(layer))
             algorithm = ((algorithms or {}).get(layer.name)
                          or self._algorithm_for(layer))
+            if self.quantize_between_stages:
+                check_accumulator_bits(layer, self.total_bits, algorithm)
             with obs_trace.span("verify.layer", layer=layer.name,
                                 network=network.name, algorithm=algorithm):
                 run = self._run_conv(
@@ -326,15 +386,18 @@ class FunctionalNetworkRunner:
                     stripe_height=(stripe_heights or {}).get(layer.name),
                     algorithm=algorithm,
                 )
-            if algorithm == "winograd":
+            stage_tolerance: Optional[float] = None
+            if self.quantize_between_stages:
+                error = run.max_abs_error_vs_reference(activations, weights)
+                stage_tolerance = 0.0
+            elif algorithm == "winograd":
                 from repro.sim.winograd import winograd_tolerance
 
                 reference = conv2d_im2col(layer, activations, weights)
                 error = float(np.max(np.abs(reference - run.ofmaps)))
-                stage_tolerance: Optional[float] = winograd_tolerance(reference)
+                stage_tolerance = winograd_tolerance(reference)
             else:
                 error = run.max_abs_error_vs_reference(activations, weights)
-                stage_tolerance = None
             result.stages.append(StageReport(
                 name=layer.name,
                 kind="conv",

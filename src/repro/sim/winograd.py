@@ -8,16 +8,26 @@ output tile is recovered as ``Y = A^T M A``.  The hot per-group kernel
 dispatches through :mod:`repro.kernels` (``winograd_group_conv``) so the
 numpy reference and the compiled numba backend share this decomposition.
 
-**Tolerance contract.**  The Winograd transforms reassociate the 3x3
-reduction, so results are *not* bit-identical to the im2col golden (or to
-the direct dataflow); they agree to float64 round-off of the accumulator
-scale.  :func:`winograd_tolerance` is the documented bound —
-``1e-6 * max(1, max|reference|)`` — used by every cross-check in tests,
-``repro verify --algorithm winograd`` and searched-schedule verification.
-Within the Winograd path itself determinism is strict: the numpy and numba
-kernels are bit-identical to each other, and any partition of the ofmap
-channels (serial, ``--workers N``) produces the same bits, so the parallel
-runtime's bit-identity ladder still holds.
+**Exact on Q-format data.**  F(2x2,3x3) uses only the coefficients
+{0, ±1, ±1/2}: ``B`` and ``A`` are pure adds and ``G``'s halves are
+power-of-two scalings.  On fixed-point operands every transformed value is
+therefore still an integer times a power of two, a few bits wider
+(:data:`WINOGRAD_GROWTH_BITS`), and while the widest partial sum fits
+float64's 53-bit significand (checked per layer by
+:func:`repro.sim.network.accumulator_bits`) every operation is exact: the
+result is bit-equal to the im2col golden, and quantised runs verify at
+tolerance 0.  F(4x4,3x3) would *not* stay exact — its transforms carry
+non-dyadic coefficients such as 1/3 and 1/6 that no binary fixed-point grid
+represents — so extending the tile size needs a tolerance again.
+
+**Tolerance contract (unquantised floats only).**  On arbitrary float64
+operands the transforms reassociate the 3x3 reduction and results agree
+with the golden only to round-off of the accumulator scale;
+:func:`winograd_tolerance` — ``1e-6 * max(1, max|reference|)`` — is the
+documented bound for that mode.  Within the Winograd path itself
+determinism is strict on any input: the numpy and numba kernels are
+bit-identical to each other, and any partition of the ofmap channels
+(serial, ``--workers N``) produces the same bits.
 """
 
 from __future__ import annotations
@@ -38,6 +48,7 @@ from repro.errors import ConfigurationError
 from repro.kernels import get_backend
 
 __all__ = [
+    "WINOGRAD_GROWTH_BITS",
     "conv2d_winograd",
     "transform_filters",
     "winograd_ofmap_block",
@@ -46,8 +57,15 @@ __all__ = [
 ]
 
 
+#: extra accumulator bits the F(2x2,3x3) transforms cost on Q-format data,
+#: in LSBs of the transformed operands: ``B^T d B`` sums 4 inputs (+2 bits),
+#: ``G g G^T`` reaches 9/4 of the largest weight on a grid 2 bits finer
+#: (+4 bits), and ``A^T m A`` sums 9 transform-domain values (+4 bits)
+WINOGRAD_GROWTH_BITS = 10
+
+
 def winograd_tolerance(reference: np.ndarray) -> float:
-    """The documented absolute tolerance vs the im2col golden.
+    """The documented absolute tolerance vs the im2col golden (unquantised).
 
     Relative to the accumulator scale: ``1e-6 * max(1, max|reference|)``.
     Float64 round-off of the reassociated reduction sits orders of
@@ -141,8 +159,8 @@ def conv2d_winograd(layer: ConvLayer, ifmaps: np.ndarray,
 
     Same signature and shapes as :func:`repro.cnn.reference.conv2d_im2col`
     (single-image CHW in, ``(M, out_h, out_w)`` float64 out); grouped
-    convolutions are transformed per group.  Matches the im2col golden
-    within :func:`winograd_tolerance`.
+    convolutions are transformed per group.  Bit-equal to the im2col golden
+    on Q-format operands, within :func:`winograd_tolerance` otherwise.
     """
     _require_eligible(layer)
     _check_shapes(layer, ifmaps, weights)

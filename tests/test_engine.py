@@ -113,6 +113,8 @@ class TestAdapters:
         fast = create_engine("functional-vectorized").evaluate(tiny_network, None, 1)
         assert fast.engine == "functional-vectorized"
         assert fast.metrics == scalar.metrics
+        # Q-format operands: both backends are exact, not merely close
+        assert scalar.metric("max_abs_error") == 0.0
 
     def test_functional_backend_enters_fingerprint(self):
         scalar = create_engine("functional")
@@ -120,6 +122,8 @@ class TestAdapters:
         assert scalar.fingerprint()["backend"] == "scalar"
         assert fast.fingerprint()["backend"] == "vectorized"
         assert scalar.fingerprint() != fast.fingerprint()
+        # quantised operands changed the cached numbers: version 2 keys
+        assert scalar.fingerprint()["version"] == fast.fingerprint()["version"] == 2
 
     def test_baseline_round_trips_summary(self, network):
         record = create_engine("baseline-eyeriss").evaluate(network, None, 4)

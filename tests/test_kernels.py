@@ -1,6 +1,6 @@
-"""Kernel-backend tests: registry selection, fallback, and the bit-identity
+"""Kernel-backend tests: registry selection, fallback, the bit-identity
 contract between the NumPy reference kernels and the compiled (numba)
-kernels.
+kernels, and the exactness of the shared GEMM ofmap kernel on Q-format data.
 
 The identity tests parametrize over :func:`repro.kernels.available_backends`
 — on a machine without numba they run the numpy leg only (never skip, so
@@ -33,8 +33,8 @@ from repro.kernels import (
     set_default_backend,
     warmup,
 )
+from repro.cnn.quantize import quantize_layer_tensors
 from repro.kernels import registry
-from repro.kernels.numpy_backend import pairwise_sum_reference
 from repro.mapping.mapspace import LayerMapSpace, candidate_arrays
 from repro.sim.functional import FunctionalChainSimulator
 from repro.sim.functional_vectorized import vectorized_layer_ofmaps
@@ -56,8 +56,7 @@ def isolated_registry(monkeypatch):
 
 
 #: randomized layer geometries spanning the mapspace axes the ofmap kernel
-#: must preserve: K 1..11 (and 13: the K^2 > 128 delegation guard), stride
-#: 1/2/4, padding 0..2, grouped channels
+#: must preserve: K 1..13, stride 1/2/4, padding 0..2, grouped channels
 OFMAP_LAYERS = (
     ConvLayer("k1", in_channels=3, out_channels=4, in_height=8, in_width=8,
               kernel_size=1),
@@ -84,30 +83,35 @@ def _layer_tensors(layer: ConvLayer, rng: np.random.Generator):
     return ifmaps, weights
 
 
-class TestPairwiseOrderSpec:
-    def test_reference_matches_numpy_sum_bitwise(self, rng):
-        """The codified pairwise order == np.sum on contiguous float64."""
-        for n in list(range(1, 200)) + [256, 1000]:
-            values = rng.standard_normal(n)
-            assert pairwise_sum_reference(values) == np.sum(values), n
+class TestExactOnQFormat:
+    def test_numpy_backend_matches_per_window_sums(self, rng):
+        """The GEMM kernel equals per-window sums in any order on Q-format data.
 
-    def test_numpy_backend_follows_the_order_spec(self, rng):
-        """The production numpy kernel reduces in the documented order."""
+        Each (m, c, y, x) window sum is accumulated twice — forward and
+        reversed over the K*K taps — and both must equal the GEMM result
+        exactly: on Q-format operands float64 addition is exact.
+        """
         layer = OFMAP_LAYERS[1]
-        ifmaps, weights = _layer_tensors(layer, rng)
+        ifmaps, weights, _, _ = quantize_layer_tensors(
+            *_layer_tensors(layer, rng))
         padded = pad_input(ifmaps, layer.padding)
         got = vectorized_layer_ofmaps(layer, padded, weights,
                                       kernel_backend="numpy")
         kept = strided_windows(padded, layer.kernel_size, layer.stride,
                                layer.out_height, layer.out_width)
-        expected = np.zeros(layer.out_shape)
+        forward = np.zeros(layer.out_shape)
+        backward = np.zeros(layer.out_shape)
         for m in range(layer.out_channels):
             for c in range(layer.in_channels):
                 for y in range(layer.out_height):
                     for x in range(layer.out_width):
                         product = (kept[c, y, x] * weights[m, c]).ravel()
-                        expected[m, y, x] += pairwise_sum_reference(product)
-        assert np.array_equal(got, expected)
+                        for value in product:
+                            forward[m, y, x] += value
+                        for value in product[::-1]:
+                            backward[m, y, x] += value
+        assert np.array_equal(got, forward)
+        assert np.array_equal(got, backward)
 
 
 class TestOfmapBitIdentity:

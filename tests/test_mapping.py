@@ -15,6 +15,7 @@ import pytest
 from repro.analysis.batch import MAPPING_RESULT_COLUMNS, MappingBatchEvaluator
 from repro.cnn.generator import WorkloadGenerator, stable_seed
 from repro.cnn.layer import ConvLayer
+from repro.cnn.quantize import quantize_layer_tensors
 from repro.cnn.reference import conv2d_im2col
 from repro.cnn.zoo import alexnet, tiny_test_network
 from repro.core.config import ChainConfig
@@ -306,7 +307,9 @@ class TestFunctionalEquivalence:
         layer = ConvLayer("t", 4, 4, 21, 21, kernel_size=kernel_size,
                           stride=stride, padding=padding, groups=groups)
         generator = WorkloadGenerator(seed=stable_seed(2017, layer.name))
-        ifmaps, weights = generator.layer_pair(layer)
+        # Q-format operands: every stripe plan's sums are exact
+        ifmaps, weights, _, _ = quantize_layer_tensors(
+            *generator.layer_pair(layer))
         reference = conv2d_im2col(layer, ifmaps, weights)
         simulator = FunctionalChainSimulator(backend="both")
         baseline = simulator.run_layer(layer, ifmaps, weights)
@@ -314,7 +317,7 @@ class TestFunctionalEquivalence:
             run = simulator.run_layer(layer, ifmaps, weights, stripe_height=height)
             assert np.array_equal(run.ofmaps, baseline.ofmaps)
             assert run.stats.windows_kept == baseline.stats.windows_kept
-            assert float(np.max(np.abs(run.ofmaps - reference))) <= 1e-9
+            assert np.array_equal(run.ofmaps, reference)
 
     def test_network_runner_accepts_stripe_heights(self):
         from repro.sim.network import FunctionalNetworkRunner

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.cnn.quantize import quantize_layer_tensors
 from repro.cnn.zoo import alexnet, tiny_test_network
 from repro.core.config import ChainConfig
 from repro.engine.executor import SweepExecutor
@@ -294,6 +295,12 @@ class TestSingleCoreDegradation:
         assert parallel.max_abs_error == serial.max_abs_error
 
 
+def _q_pair(generator, layer):
+    """Q-format operands: any ofmap partition sums exactly."""
+    ifmaps, weights, _, _ = quantize_layer_tensors(*generator.layer_pair(layer))
+    return ifmaps, weights
+
+
 class TestParallelSerialEquivalence:
     """The bit-identity contract of the runtime consumers."""
 
@@ -308,7 +315,7 @@ class TestParallelSerialEquivalence:
         )
 
         for layer in (strided_layer, grouped_layer):
-            ifmaps, weights = generator.layer_pair(layer)
+            ifmaps, weights = _q_pair(generator, layer)
             padded = pad_input(ifmaps, layer.padding)
             whole = vectorized_layer_ofmaps(layer, padded, weights)
             for blocks in (2, 3, layer.out_channels):
@@ -323,7 +330,7 @@ class TestParallelSerialEquivalence:
                                                grouped_layer):
         simulator = FunctionalChainSimulator(backend="vectorized")
         for layer in (tiny_layer, strided_layer, grouped_layer):
-            ifmaps, weights = generator.layer_pair(layer)
+            ifmaps, weights = _q_pair(generator, layer)
             for stripe_height in (None, 1):
                 serial = simulator.run_layer(layer, ifmaps, weights,
                                              stripe_height=stripe_height)

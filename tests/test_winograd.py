@@ -3,8 +3,9 @@
 Covers the three tentpole pieces end to end:
 
 * the functional transform-domain backend (`repro.sim.winograd`) against the
-  im2col golden within the documented tolerance, including bit-identity of
-  ofmap-block partitions and kernel backends;
+  im2col golden — bit-equal on Q-format operands, within the documented
+  tolerance on unquantised floats — including bit-identity of ofmap-block
+  partitions and kernel backends;
 * the analytical transform-domain cost model (`repro.analysis.winograd` +
   the ``winograd`` column of :class:`MappingBatchEvaluator`);
 * the per-layer algorithm axis in the mapping search (never-worse vs
@@ -34,6 +35,8 @@ from repro.analysis.winograd import (
 )
 from repro.cnn.generator import WorkloadGenerator
 from repro.cnn.layer import ConvLayer
+from repro.cnn.network import Network
+from repro.cnn.quantize import quantize_layer_tensors
 from repro.cnn.reference import conv2d_im2col, pad_input
 from repro.cnn.zoo import get_network
 from repro.core.config import ChainConfig
@@ -206,6 +209,25 @@ class TestFunctionalBackend:
                 error = float(np.max(np.abs(reference - result)))
                 assert error <= winograd_tolerance(reference), layer.name
 
+    def test_transforms_use_only_dyadic_coefficients(self):
+        """G's columns (read back from impulses) lie in {0, +-1, +-1/2}.
+
+        B and A are pure adds (see the numpy kernel), so this is what makes
+        F(2x2,3x3) exact on Q-format data.
+        """
+        impulses = np.zeros((3, 3, 3))
+        impulses[np.arange(3), np.arange(3), 0] = 1.0
+        g_columns = transform_filters(impulses)[:, :, 0]
+        assert set(np.unique(g_columns)) <= {0.0, 1.0, -1.0, 0.5, -0.5}
+
+    def test_bit_equal_to_im2col_on_q_format_zoo_geometries(self, generator):
+        for layer in _zoo_eligible_geometries(max_spatial=14):
+            ifmaps, weights, _, _ = quantize_layer_tensors(
+                *generator.layer_pair(layer))
+            reference = conv2d_im2col(layer, ifmaps, weights)
+            result = conv2d_winograd(layer, ifmaps, weights)
+            assert np.array_equal(reference, result), layer.name
+
     def test_bias_is_applied(self, generator):
         layer = _eligible_layer()
         ifmaps, weights = generator.layer_pair(layer)
@@ -299,6 +321,20 @@ class TestSimulator:
             assert by_name[name].algorithm == "winograd"
             assert by_name[name].tolerance is not None
             assert by_name[name].max_abs_error <= by_name[name].tolerance
+            # quantised runs are exact: Winograd verifies at tolerance 0
+            assert by_name[name].tolerance == 0.0
+            assert by_name[name].max_abs_error == 0.0
+
+    def test_unquantized_runner_keeps_the_documented_tolerance(self):
+        network = Network(name="wino-float")
+        network.add(_eligible_layer(in_channels=4, out_channels=4))
+        result = FunctionalNetworkRunner(
+            algorithm="winograd", quantize_between_stages=False).run(network)
+        assert result.passed
+        (stage,) = result.conv_stages
+        assert stage.algorithm == "winograd"
+        assert stage.tolerance > 0.0
+        assert stage.max_abs_error <= stage.tolerance
 
     def test_network_runner_parallel_matches_serial(self, monkeypatch):
         from repro.runtime import pool as pool_module
