@@ -97,6 +97,7 @@ from repro.engine import (
     available_engines,
     create_engine,
 )
+from repro.errors import ReproError
 from repro.hwmodel.clock import ClockDomain
 from repro.kernels import KERNEL_BACKEND_ENV, KNOWN_BACKENDS, set_default_backend
 from repro.mapping import OBJECTIVES, STRATEGIES, ScheduleOptimizer, make_strategy
@@ -1118,8 +1119,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         "request": cmd_request,
     }
     start = time.perf_counter()
-    with obs_trace.span("cli." + args.command):
-        status = handlers[args.command](args)
+    try:
+        with obs_trace.span("cli." + args.command):
+            status = handlers[args.command](args)
+    except ReproError as error:
+        # a library-detected user error (e.g. a kernel larger than the
+        # chain): one argparse-style line, no traceback
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 2
     wall_s = time.perf_counter() - start
     if args.command in ("sweep", "pareto", "map"):
         _print_stats_footer(args, wall_s)

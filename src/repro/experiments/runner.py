@@ -315,6 +315,17 @@ def mapping_search_section(bench_path: str | Path = "BENCH_mapping.json") -> str
                     f"{verification.get('max_abs_error', 0):.1e} vs the "
                     "im2col golden reference, bit-identical to the baseline "
                     "stripe plan).")
+        if bench.get("search_seconds"):
+            lines += [
+                "",
+                f"Search cost: {bench['candidates_evaluated']:,} candidates "
+                f"scored in {bench['search_seconds']:.2f} s "
+                f"({bench['candidates_per_second'] / 1e6:.2f}M candidates/s, "
+                "all searches serial and uncached).  Each layer's pruned "
+                "space is enumerated as a `CandidateTable` of NumPy columns "
+                "and scored in one call; candidate objects are built only "
+                "for the shortlist.",
+            ]
     else:
         lines += [
             "Measured schedules: run `pytest benchmarks/bench_mapping.py` to",

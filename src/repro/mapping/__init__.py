@@ -6,9 +6,10 @@ The paper maps every layer with one fixed decomposition (Table II:
 explores the *space* of legal mappings around that point:
 
 * :mod:`repro.mapping.mapspace` — :class:`MappingCandidate`,
-  :class:`LayerMapSpace` and :class:`MapSpace`: legal per-layer candidates
-  (primitive partition, stripe height, kernel-streaming chunk, batch
-  interleave) with analytic pruning bounds;
+  :class:`CandidateTable`, :class:`LayerMapSpace` and :class:`MapSpace`:
+  legal per-layer candidates (primitive partition, stripe height,
+  kernel-streaming chunk, batch interleave, algorithm) with analytic
+  pruning bounds, enumerated as NumPy columns;
 * :mod:`repro.mapping.strategies` — the :class:`Strategy` protocol and the
   exhaustive / random / greedy / annealing searches;
 * :mod:`repro.mapping.optimizer` — :class:`ScheduleOptimizer` producing an
@@ -23,7 +24,13 @@ layer per millisecond-scale call) and whole searches are memoised in
 :class:`repro.engine.cache.RunCache`.
 """
 
-from repro.mapping.mapspace import INTERLEAVES, LayerMapSpace, MappingCandidate, MapSpace
+from repro.mapping.mapspace import (
+    INTERLEAVES,
+    CandidateTable,
+    LayerMapSpace,
+    MappingCandidate,
+    MapSpace,
+)
 from repro.mapping.optimizer import (
     OBJECTIVES,
     LayerSchedule,
@@ -44,6 +51,7 @@ from repro.mapping.strategies import (
 
 __all__ = [
     "INTERLEAVES",
+    "CandidateTable",
     "LayerMapSpace",
     "MapSpace",
     "MappingCandidate",

@@ -44,15 +44,26 @@ Legality checks reuse :class:`~repro.errors.MappingError` via
   image-major variant is only emitted when the weights do not fit.
 
 Both bounds follow the ``ceil``-plateau structure (there are at most
-``O(sqrt(Q))`` distinct values of ``ceil(Q / p)``), which is what keeps the
-pruned space around 10^3–10^4 candidates per layer even for VGG-scale
-``Q = 262144`` channel-pair layers whose full space has ~10^5 points.
+``O(sqrt(Q))`` distinct values of ``ceil(Q / p)``), which keeps the pruned
+space small next to the full cross-product: VGG-16 under
+``--algorithm auto`` prunes to 649,826 candidates in total, at most 78,326
+per layer (conv4_2 ... conv5_3).
+
+:meth:`LayerMapSpace.enumerate` returns the pruned space as a
+:class:`CandidateTable` — five aligned NumPy columns built by masking the
+(pruned primitives x chunk) grid with the plateau rule and expanding the
+kept cells over stripe heights and interleaves, without building a
+:class:`MappingCandidate` per row.  The table's row order is the search's
+tie-break contract (stable argsorts keep the first of equal scores): rows
+are primitive-major; within one primitive count direct rows come before
+Winograd rows; then chunk descending; then stripe height ascending; then
+batch before image.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -140,22 +151,91 @@ class MappingCandidate:
         )
 
 
-def candidate_arrays(candidates: List[MappingCandidate]
-                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                np.ndarray, np.ndarray]:
-    """Struct-of-arrays columns of a candidate list.
+@dataclass(frozen=True, eq=False)
+class CandidateTable:
+    """Mapping candidates as five aligned columns (one row per candidate).
 
-    Returns ``(primitives, stripe_height, chunk, interleave_image,
-    winograd)`` in the argument order
-    :meth:`repro.analysis.batch.MappingBatchEvaluator.evaluate` expects.
+    The columns are ``(primitives, stripe_height, chunk, image, winograd)``
+    — :attr:`columns` is exactly the argument tuple
+    :meth:`repro.analysis.batch.MappingBatchEvaluator.evaluate` takes — so
+    a whole space is scored without a :class:`MappingCandidate` per row;
+    :meth:`candidate` / :meth:`candidates` build objects only for the rows
+    a search keeps.
     """
-    return (
-        np.array([c.primitives for c in candidates], dtype=np.int64),
-        np.array([c.stripe_height for c in candidates], dtype=np.int64),
-        np.array([c.chunk for c in candidates], dtype=np.int64),
-        np.array([c.image_major for c in candidates], dtype=bool),
-        np.array([c.is_winograd for c in candidates], dtype=bool),
-    )
+
+    primitives: np.ndarray
+    stripe_height: np.ndarray
+    chunk: np.ndarray
+    image: np.ndarray
+    winograd: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, dtype in (("primitives", np.int64), ("stripe_height", np.int64),
+                            ("chunk", np.int64), ("image", bool),
+                            ("winograd", bool)):
+            object.__setattr__(self, name,
+                               np.asarray(getattr(self, name), dtype=dtype))
+
+    @classmethod
+    def from_candidates(cls, candidates: Sequence[MappingCandidate]
+                        ) -> "CandidateTable":
+        """Columns of a candidate list, in list order."""
+        return cls(
+            np.array([c.primitives for c in candidates], dtype=np.int64),
+            np.array([c.stripe_height for c in candidates], dtype=np.int64),
+            np.array([c.chunk for c in candidates], dtype=np.int64),
+            np.array([c.image_major for c in candidates], dtype=bool),
+            np.array([c.is_winograd for c in candidates], dtype=bool),
+        )
+
+    @property
+    def columns(self) -> Tuple[np.ndarray, ...]:
+        """``(primitives, stripe_height, chunk, image, winograd)``."""
+        return (self.primitives, self.stripe_height, self.chunk, self.image,
+                self.winograd)
+
+    def __len__(self) -> int:
+        return int(self.primitives.shape[0])
+
+    def take(self, indices) -> "CandidateTable":
+        """The rows at ``indices`` (an index array or boolean mask), in order."""
+        return CandidateTable(*(column[indices] for column in self.columns))
+
+    def candidate(self, index: int) -> MappingCandidate:
+        """Row ``index`` as a :class:`MappingCandidate`."""
+        return MappingCandidate(
+            primitives=int(self.primitives[index]),
+            stripe_height=int(self.stripe_height[index]),
+            chunk=int(self.chunk[index]),
+            interleave=INTERLEAVES[int(self.image[index])],
+            algorithm=ALGORITHMS[int(self.winograd[index])],
+        )
+
+    def candidates(self) -> List[MappingCandidate]:
+        """Every row as a :class:`MappingCandidate` (for small tables)."""
+        return [self.candidate(index) for index in range(len(self))]
+
+
+def plateau_chunks(passes: np.ndarray, capacity: int
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """The ceil-plateau rule for kMemory chunks, for many pass counts at once.
+
+    Cost depends on ``chunk`` only through ``refills = ceil(passes /
+    chunk)``, so a chunk is kept when it is the largest chunk ``<=
+    min(capacity, passes)`` with its refill count.  Returns ``(chunks,
+    keep)``: the chunk values in descending order and the
+    ``(len(passes), len(chunks))`` boolean keep-mask, so a row-major
+    ``np.nonzero(keep)`` walks every pass count's kept chunks largest first.
+    """
+    passes = np.asarray(passes, dtype=np.int64)[:, None]
+    width = min(capacity, int(passes.max(initial=0)))
+    chunks = np.arange(width, 0, -1, dtype=np.int64)
+    limit = np.minimum(capacity, passes)
+    refills = -(-passes // chunks)
+    # refills drop at chunk + 1 exactly when chunk ends its plateau
+    ends_plateau = -(-passes // (chunks + 1)) < refills
+    keep = (chunks <= limit) & ((chunks == limit) | ends_plateau)
+    return chunks, keep
 
 
 class LayerMapSpace:
@@ -266,10 +346,6 @@ class LayerMapSpace:
             )
         return -(-self.channel_pairs // primitives)
 
-    def refills_for(self, passes: int, chunk: int) -> int:
-        """kMemory refills at a given pass count and chunk size."""
-        return -(-passes // min(chunk, passes))
-
     # ------------------------------------------------------------------ #
     # pruning bounds
     # ------------------------------------------------------------------ #
@@ -302,28 +378,18 @@ class LayerMapSpace:
     def pruned_chunks(self, passes: int, winograd: bool = False) -> List[int]:
         """Maximal chunk per distinct refill count (descending).
 
-        Cost depends on ``chunk`` only through ``refills``, so one chunk per
-        plateau of ``ceil(passes / chunk)`` covers every distinct cost.
-        Winograd candidates start the walk from the reduced
-        transformed-plane capacity.
+        One chunk per plateau of ``ceil(passes / chunk)`` covers every
+        distinct cost (:func:`plateau_chunks`).  Winograd candidates cap
+        the chunk at the reduced transformed-plane capacity.
         """
         cached = self._pruned_chunks.get((passes, winograd))
         if cached is not None:
             return cached
         capacity = self.winograd_capacity if winograd else self.kmemory_capacity
-        chunk = min(capacity, passes)
-        values: List[int] = []
-        while chunk >= 1:
-            refills = -(-passes // chunk)
-            values.append(chunk)
-            # smallest chunk still achieving `refills`, then step below it
-            chunk = -(-passes // refills) - 1
+        chunks, keep = plateau_chunks(np.array([passes]), capacity)
+        values = chunks[keep[0]].tolist()
         self._pruned_chunks[(passes, winograd)] = values
         return values
-
-    def stripe_heights(self) -> List[int]:
-        """All legal stripe heights (``1..K`` — K is at most 11, no pruning)."""
-        return list(range(1, self.layer.kernel_size + 1))
 
     # ------------------------------------------------------------------ #
     # enumeration
@@ -340,57 +406,66 @@ class LayerMapSpace:
                       * len(INTERLEAVES))
         return total
 
-    def enumerate(self) -> List[MappingCandidate]:
-        """Every cost-distinct legal candidate (the pruned space)."""
-        candidates = list(self.iter_candidates())
-        _M_ENUMERATED.inc(len(candidates))
-        _M_PRUNED.inc(max(0, self.full_size() - len(candidates)))
-        return candidates
+    def _chunk_cells(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                    np.ndarray]:
+        """The kept (primitives, algorithm, chunk) cells of the pruned space.
 
-    def iter_candidates(self) -> Iterator[MappingCandidate]:
-        """Yield the pruned space lazily (see the module docstring bounds)."""
-        heights = self.stripe_heights()
-        for primitives in self.pruned_primitives():
-            passes = self.passes_for(primitives)
-            if "direct" in self.algorithms:
-                for chunk in self.pruned_chunks(passes):
-                    refills = self.refills_for(passes, chunk)
-                    interleaves = INTERLEAVES if refills > 1 else ("batch",)
-                    for height in heights:
-                        for interleave in interleaves:
-                            yield MappingCandidate(
-                                primitives=primitives,
-                                stripe_height=height,
-                                chunk=chunk,
-                                interleave=interleave,
-                            )
-            if self.winograd_axis:
-                for chunk in self.pruned_chunks(passes, winograd=True):
-                    refills = self.refills_for(passes, chunk)
-                    interleaves = INTERLEAVES if refills > 1 else ("batch",)
-                    for interleave in interleaves:
-                        yield MappingCandidate(
-                            primitives=primitives,
-                            stripe_height=self.layer.kernel_size,
-                            chunk=chunk,
-                            interleave=interleave,
-                            algorithm="winograd",
-                        )
+        Returns ``(primitives, chunk, winograd, image_too)`` per cell in
+        table order — primitive-major, direct before Winograd, chunk
+        descending; ``image_too`` marks cells whose refills exceed 1, the
+        only ones that also get an image-major row.
+        """
+        primitives = np.asarray(self.pruned_primitives(), dtype=np.int64)
+        passes = -(-self.channel_pairs // primitives)
+        chunk_columns, wino_columns, keep_columns = [], [], []
+        for algorithm in self.algorithms:
+            winograd = algorithm == "winograd"
+            capacity = self.winograd_capacity if winograd else self.kmemory_capacity
+            chunks, keep = plateau_chunks(passes, capacity)
+            chunk_columns.append(chunks)
+            wino_columns.append(np.full(chunks.shape, winograd))
+            keep_columns.append(keep)
+        rows, cols = np.nonzero(np.concatenate(keep_columns, axis=1))
+        chunk = np.concatenate(chunk_columns)[cols]
+        image_too = passes[rows] > chunk
+        return primitives[rows], chunk, np.concatenate(wino_columns)[cols], image_too
+
+    def _rows_per_cell(self, winograd: np.ndarray,
+                       image_too: np.ndarray) -> np.ndarray:
+        """Table rows each cell expands to: heights x interleaves."""
+        heights = np.where(winograd, 1, self.layer.kernel_size)
+        return heights * (1 + image_too.astype(np.int64))
+
+    def enumerate(self) -> CandidateTable:
+        """Every cost-distinct legal candidate (the pruned space) as a table.
+
+        Each kept cell expands to its stripe heights (``1..K`` for direct,
+        the pinned ``K`` for Winograd) times its interleaves (batch, then
+        image when refills > 1), in the row order the module docstring
+        documents.
+        """
+        primitives, chunk, winograd, image_too = self._chunk_cells()
+        counts = self._rows_per_cell(winograd, image_too)
+        cell = np.repeat(np.arange(counts.shape[0]), counts)
+        offset = np.arange(cell.shape[0]) - np.repeat(np.cumsum(counts) - counts,
+                                                      counts)
+        interleaves = 1 + image_too[cell].astype(np.int64)
+        table = CandidateTable(
+            primitives=primitives[cell],
+            stripe_height=np.where(winograd[cell], self.layer.kernel_size,
+                                   offset // interleaves + 1),
+            chunk=chunk[cell],
+            image=offset % interleaves == 1,
+            winograd=winograd[cell],
+        )
+        _M_ENUMERATED.inc(len(table))
+        _M_PRUNED.inc(max(0, self.full_size() - len(table)))
+        return table
 
     def pruned_size(self) -> int:
         """Number of candidates :meth:`enumerate` yields."""
-        total = 0
-        for primitives in self.pruned_primitives():
-            passes = self.passes_for(primitives)
-            if "direct" in self.algorithms:
-                for chunk in self.pruned_chunks(passes):
-                    refills = self.refills_for(passes, chunk)
-                    total += self.layer.kernel_size * (2 if refills > 1 else 1)
-            if self.winograd_axis:
-                for chunk in self.pruned_chunks(passes, winograd=True):
-                    refills = self.refills_for(passes, chunk)
-                    total += 2 if refills > 1 else 1
-        return total
+        _, _, winograd, image_too = self._chunk_cells()
+        return int(self._rows_per_cell(winograd, image_too).sum())
 
     # ------------------------------------------------------------------ #
     # stochastic access (random sampling / annealing moves)

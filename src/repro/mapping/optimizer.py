@@ -54,10 +54,10 @@ from repro.cnn.reference import conv2d_im2col, pad_input
 from repro.kernels import backend_fingerprint, resolve_backend_name
 from repro.mapping.mapspace import (
     ALGORITHM_MODES,
+    CandidateTable,
     LayerMapSpace,
     MappingCandidate,
     MapSpace,
-    candidate_arrays,
 )
 from repro.mapping.strategies import SearchResult, Strategy, make_strategy
 from repro.obs import metrics as obs_metrics
@@ -114,7 +114,7 @@ def make_layer_scorer(layer, config: ChainConfig, objective: str, batch: int,
 
     Both the serial :meth:`ScheduleOptimizer.search_layer` and the parallel
     ``map.search_layer`` worker task score through this, so there is exactly
-    one definition of how a candidate list becomes objective values.
+    one definition of how a candidate table becomes objective values.
     ``kernel_backend`` selects the :mod:`repro.kernels` scorer backend;
     every backend is bit-identical, so scores and argmins never depend on
     the choice.
@@ -124,8 +124,8 @@ def make_layer_scorer(layer, config: ChainConfig, objective: str, batch: int,
                                       kernel_backend=kernel_backend)
     proxy = OBJECTIVES[objective]
 
-    def scorer(candidates):
-        columns = evaluator.evaluate(*candidate_arrays(list(candidates)))
+    def scorer(table: CandidateTable) -> np.ndarray:
+        columns = evaluator.evaluate(*table.columns)
         return np.asarray(columns[proxy], dtype=np.float64)
 
     return evaluator, scorer
@@ -159,7 +159,7 @@ def search_layer_entry(layer, config: ChainConfig, objective: str,
         pool = list(result.candidates)
         if baseline not in pool:
             pool.append(baseline)
-        columns = evaluator.evaluate(*candidate_arrays(pool))
+        columns = evaluator.evaluate(*CandidateTable.from_candidates(pool).columns)
     rows = [
         {name: float(columns[name][index]) for name in MAPPING_RESULT_COLUMNS}
         for index in range(len(pool))

@@ -4,12 +4,12 @@ Every strategy implements one protocol —
 
     ``strategy.search(space, scorer, shortlist) -> SearchResult``
 
-— where ``scorer`` maps a list of :class:`MappingCandidate` to a NumPy array
-of objective values (lower is better; the optimiser builds it on top of the
-columnar :class:`repro.analysis.batch.MappingBatchEvaluator`, so a single
-scorer call on 10^4 candidates costs milliseconds).  The returned shortlist
-is best-first; the optimiser assembles the network schedule from the
-shortlists with a never-worse-than-baseline guarantee.
+— where ``scorer`` maps a :class:`~repro.mapping.mapspace.CandidateTable`
+to a NumPy array of objective values (lower is better; the optimiser builds
+it on top of the columnar :class:`repro.analysis.batch.MappingBatchEvaluator`,
+so one scorer call on a 10^5-row table costs milliseconds).  The returned
+shortlist is best-first; the optimiser assembles the network schedule from
+the shortlists with a never-worse-than-baseline guarantee.
 
 Stochastic strategies (random sampling, simulated annealing) derive their
 per-layer RNG streams with :func:`repro.cnn.generator.stable_seed`, so a
@@ -21,29 +21,26 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
 from repro.cnn.generator import stable_seed
 from repro.errors import ConfigurationError
 from repro.mapping.mapspace import (
-    ALGORITHMS,
     INTERLEAVES,
+    CandidateTable,
     LayerMapSpace,
     MappingCandidate,
-    candidate_arrays,
 )
 
 #: strategy registry names accepted by :func:`make_strategy` and the CLI
 STRATEGIES = ("exhaustive", "random", "greedy", "anneal")
 
-Scorer = Callable[[Sequence[MappingCandidate]], np.ndarray]
+Scorer = Callable[[CandidateTable], np.ndarray]
 
 
-def _pack_keys(space: LayerMapSpace, primitives: np.ndarray,
-               heights: np.ndarray, chunks: np.ndarray,
-               image: np.ndarray, winograd: np.ndarray) -> np.ndarray:
+def _pack_keys(space: LayerMapSpace, table: CandidateTable) -> np.ndarray:
     """Bijective int64 key per candidate (the vectorized dedup currency).
 
     The radices come from the space's bounds (``primitives <=
@@ -54,10 +51,10 @@ def _pack_keys(space: LayerMapSpace, primitives: np.ndarray,
     """
     radix_h = space.layer.kernel_size + 1
     radix_c = space.kmemory_capacity + 1
-    keys = primitives.astype(np.int64) * radix_h + heights.astype(np.int64)
-    keys = keys * radix_c + chunks.astype(np.int64)
-    keys = keys * 2 + image.astype(np.int64)
-    return keys * 2 + winograd.astype(np.int64)
+    keys = table.primitives * radix_h + table.stripe_height
+    keys = keys * radix_c + table.chunk
+    keys = keys * 2 + table.image
+    return keys * 2 + table.winograd
 
 
 @dataclass(frozen=True)
@@ -79,52 +76,30 @@ class SearchResult:
         return self.scores[0]
 
 
-def _shortlist(candidates: Sequence[MappingCandidate], scores: np.ndarray,
-               k: int, evaluations: int,
-               space: Optional[LayerMapSpace] = None,
-               unique: bool = False) -> SearchResult:
-    """Deduplicated best-first shortlist of scored candidates.
+def _shortlist(space: LayerMapSpace, table: CandidateTable,
+               scores: np.ndarray, k: int, unique: bool = False) -> SearchResult:
+    """Deduplicated best-first shortlist of a scored table.
 
-    ``unique=True`` asserts the caller's candidates are already distinct
-    (pruned enumeration yields each mapping exactly once), so the shortlist
-    is a plain stable argsort head.  Otherwise, with a ``space``, the dedup
-    runs columnar: candidates pack to int64 keys and one ``np.unique`` finds
-    each key's best-scored (first, under the stable score order) occurrence
-    — no per-candidate hashing.  Without a space (no packing radices) the
-    per-candidate walk is kept; all paths pick the identical shortlist.
+    The stable argsort keeps the first of equally-scored rows, so the
+    table's row order breaks ties.  ``unique=True`` asserts the rows are
+    already distinct (the pruned enumeration holds each mapping exactly
+    once), so the shortlist is the plain argsort head.  Otherwise rows pack
+    to int64 keys and one ``np.unique`` finds each key's best-scored (first,
+    under the stable score order) occurrence.  Candidate objects are built
+    for the shortlisted rows only.
     """
     order = np.argsort(scores, kind="stable")
     if unique:
-        picked_indices = order[:k]
-        return SearchResult(
-            candidates=[candidates[int(i)] for i in picked_indices],
-            scores=[float(scores[int(i)]) for i in picked_indices],
-            evaluations=evaluations,
-        )
-    if space is not None and len(candidates) > 0:
-        columns = candidate_arrays(list(candidates))
-        keys = _pack_keys(space, *columns)[order]
+        picked = order[:k]
+    else:
+        keys = _pack_keys(space, table)[order]
         _, first = np.unique(keys, return_index=True)
-        picked_indices = order[np.sort(first)[:k]]
-        return SearchResult(
-            candidates=[candidates[int(i)] for i in picked_indices],
-            scores=[float(scores[int(i)]) for i in picked_indices],
-            evaluations=evaluations,
-        )
-    picked: List[MappingCandidate] = []
-    picked_scores: List[float] = []
-    seen = set()
-    for index in order:
-        candidate = candidates[int(index)]
-        if candidate in seen:
-            continue
-        seen.add(candidate)
-        picked.append(candidate)
-        picked_scores.append(float(scores[int(index)]))
-        if len(picked) >= k:
-            break
-    return SearchResult(candidates=picked, scores=picked_scores,
-                        evaluations=evaluations)
+        picked = order[np.sort(first)[:k]]
+    return SearchResult(
+        candidates=table.take(picked).candidates(),
+        scores=[float(score) for score in scores[picked]],
+        evaluations=len(table),
+    )
 
 
 class Strategy(abc.ABC):
@@ -147,9 +122,12 @@ class ExhaustiveStrategy(Strategy):
     """Score the whole pruned space in one columnar call.
 
     The analytic pruning bounds of :class:`LayerMapSpace` keep the pruned
-    space small enough (10^3–10^4 per layer on the zoo networks) that this is
-    both exact and fast; ``max_candidates`` guards against pathological
-    configurations blowing the columnar batch up.
+    space small enough (up to 78,326 rows per layer, 649,826 in all, on
+    VGG-16 with ``--algorithm auto``) that scoring the whole
+    :class:`CandidateTable` at once is both exact and fast; candidate
+    objects are built only for the shortlisted rows, and the table's row
+    order breaks score ties.  ``max_candidates`` guards against
+    pathological configurations blowing the columnar batch up.
     """
 
     name = "exhaustive"
@@ -166,12 +144,10 @@ class ExhaustiveStrategy(Strategy):
                 f"above the exhaustive limit {self.max_candidates}; use a "
                 "sampling strategy"
             )
-        candidates = space.enumerate()
-        scores = scorer(candidates)
-        # the pruned enumeration yields each mapping exactly once, so the
+        table = space.enumerate()
+        # the pruned enumeration holds each mapping exactly once, so the
         # shortlist is a pure argsort head — no dedup pass at all
-        return _shortlist(candidates, scores, shortlist, len(candidates),
-                          space=space, unique=True)
+        return _shortlist(space, table, scorer(table), shortlist, unique=True)
 
     def fingerprint(self) -> Dict[str, Any]:
         return {"name": self.name, "max_candidates": self.max_candidates}
@@ -192,10 +168,9 @@ class RandomStrategy(Strategy):
                shortlist: int = 4) -> SearchResult:
         rng = np.random.default_rng(
             stable_seed(self.seed, self.name, space.layer.name))
-        candidates = [space.baseline()] + space.sample(rng, self.samples)
-        scores = scorer(candidates)
-        return _shortlist(candidates, scores, shortlist, len(candidates),
-                          space=space)
+        table = CandidateTable.from_candidates(
+            [space.baseline()] + space.sample(rng, self.samples))
+        return _shortlist(space, table, scorer(table), shortlist)
 
     def fingerprint(self) -> Dict[str, Any]:
         return {"name": self.name, "samples": self.samples, "seed": self.seed}
@@ -239,7 +214,7 @@ class GreedyStrategy(Strategy):
                 else replace(state, algorithm="direct")
                 for algorithm in space.algorithms
             ]
-            return candidate_arrays(variants)
+            return CandidateTable.from_candidates(variants).columns
         if dimension == "primitives":
             values = np.asarray(space.pruned_primitives(), dtype=np.int64)
         elif dimension == "stripe_height":
@@ -285,27 +260,19 @@ class GreedyStrategy(Strategy):
                 # per-candidate set membership
                 per_state = [self._dimension_columns(space, state, dimension)
                              for state in states]
-                columns = [np.concatenate([cols[i] for cols in per_state])
-                           for i in range(5)]
-                keys = _pack_keys(space, *columns)
+                table = CandidateTable(*(
+                    np.concatenate([cols[i] for cols in per_state])
+                    for i in range(5)))
+                keys = _pack_keys(space, table)
                 _, first = np.unique(keys, return_index=True)
                 first = first[~np.isin(keys[first], seen_keys)]
                 first.sort()  # keep the old states-outer, values-inner order
                 if first.size == 0:
                     continue
-                pool = [
-                    MappingCandidate(
-                        primitives=int(columns[0][i]),
-                        stripe_height=int(columns[1][i]),
-                        chunk=int(columns[2][i]),
-                        interleave=INTERLEAVES[int(columns[3][i])],
-                        algorithm=ALGORITHMS[int(columns[4][i])],
-                    )
-                    for i in first
-                ]
+                pool = table.take(first)
                 scores = scorer(pool)
                 evaluations += len(pool)
-                for candidate, score in zip(pool, scores):
+                for candidate, score in zip(pool.candidates(), scores):
                     best_seen[candidate] = float(score)
                 seen_keys = np.concatenate([seen_keys, keys[first]])
                 ranked = sorted(best_seen.items(), key=lambda item: item[1])
@@ -362,7 +329,8 @@ class AnnealStrategy(Strategy):
 
         def score_of(candidate: MappingCandidate) -> float:
             if candidate not in scored:
-                scored[candidate] = float(scorer([candidate])[0])
+                scored[candidate] = float(
+                    scorer(CandidateTable.from_candidates([candidate]))[0])
             return scored[candidate]
 
         current_score = score_of(current)

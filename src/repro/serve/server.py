@@ -34,7 +34,7 @@ from repro.analysis.batch import DesignGrid
 from repro.cnn.zoo import NETWORKS, get_network, tiny_test_network
 from repro.engine import available_engines, create_engine
 from repro.engine.cache import RunCache
-from repro.errors import ConfigurationError, WorkloadError
+from repro.errors import ReproError
 from repro.mapping import OBJECTIVES, STRATEGIES, ScheduleOptimizer, make_strategy
 from repro.mapping.mapspace import ALGORITHM_MODES
 from repro.memory.traffic import TrafficModel
@@ -163,7 +163,7 @@ class EvalServer:
                     await self._dispatch(request, writer)
                 except ProtocolError as error:
                     await self._send_error(writer, error.status, str(error))
-                except (ConfigurationError, WorkloadError, KeyError) as error:
+                except (ReproError, KeyError) as error:
                     await self._send_error(writer, 400, _message(error))
                 except Exception as error:  # noqa: BLE001 - request boundary
                     await self._send_error(writer, 500, _message(error))
@@ -378,6 +378,10 @@ class EvalServer:
                 _M_ERRORS.inc()
                 writer.write(chunk({"event": "error", "status": error.status,
                                     "error": str(error)}))
+            except ReproError as error:  # the request asked for the impossible
+                _M_ERRORS.inc()
+                writer.write(chunk({"event": "error", "status": 400,
+                                    "error": _message(error)}))
             except Exception as error:  # noqa: BLE001 - request boundary
                 _M_ERRORS.inc()
                 writer.write(chunk({"event": "error", "status": 500,

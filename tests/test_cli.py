@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +45,22 @@ class TestCommands:
         assert main(["info"]) == 0
         out = capsys.readouterr().out
         assert "806.4" in out and "K=11" in out
+
+    def test_unmappable_chain_is_a_one_line_user_error(self):
+        """A kernel larger than the chain exits 2 with one line, no traceback."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "--pes", "64", "map",
+             "--network", "alexnet"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.splitlines() == [
+            "repro: error: conv1: kernel 11x11 needs 121 PEs but the chain "
+            "has only 64"]
 
     def test_info_with_custom_chain(self, capsys):
         assert main(["--pes", "288", "--frequency-mhz", "350", "info"]) == 0

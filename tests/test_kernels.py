@@ -35,7 +35,7 @@ from repro.kernels import (
 )
 from repro.cnn.quantize import quantize_layer_tensors
 from repro.kernels import registry
-from repro.mapping.mapspace import LayerMapSpace, candidate_arrays
+from repro.mapping.mapspace import LayerMapSpace
 from repro.sim.functional import FunctionalChainSimulator
 from repro.sim.functional_vectorized import vectorized_layer_ofmaps
 
@@ -156,7 +156,7 @@ class TestScorerBitIdentity:
     @pytest.mark.parametrize("layer", SCORER_LAYERS, ids=lambda l: l.name)
     def test_scores_and_argmins_are_identical(self, backend, layer):
         config = ChainConfig(num_pes=72, kmemory_words_per_pe=8)
-        candidates = candidate_arrays(LayerMapSpace(layer, config).enumerate())
+        candidates = LayerMapSpace(layer, config).enumerate().columns
         reference = MappingBatchEvaluator(layer, config, batch=16,
                                           kernel_backend="numpy")
         other = MappingBatchEvaluator(layer, config, batch=16,

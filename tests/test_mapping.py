@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.batch import MAPPING_RESULT_COLUMNS, MappingBatchEvaluator
 from repro.cnn.generator import WorkloadGenerator, stable_seed
@@ -31,7 +33,8 @@ from repro.mapping import (
     ScheduleOptimizer,
     make_strategy,
 )
-from repro.mapping.mapspace import candidate_arrays
+from repro.mapping.mapspace import ALGORITHM_MODES, CandidateTable
+from repro.mapping.strategies import _pack_keys
 from repro.sim.functional import FunctionalChainSimulator
 
 
@@ -63,10 +66,10 @@ class TestLayerMapSpace:
         assert baseline.interleave == "batch"
 
     def test_baseline_is_enumerated(self, small_space):
-        assert small_space.baseline() in small_space.enumerate()
+        assert small_space.baseline() in small_space.enumerate().candidates()
 
     def test_every_enumerated_candidate_is_legal(self, small_space):
-        for candidate in small_space.enumerate():
+        for candidate in small_space.enumerate().candidates():
             small_space.validate(candidate)
 
     def test_pruned_size_matches_enumeration(self, small_space):
@@ -105,8 +108,9 @@ class TestLayerMapSpace:
         pruned = small_space.enumerate()
         for column in ("first_image_latency_s", "time_per_batch_s",
                        "energy_per_batch_j", "edp_js"):
-            full_best = evaluator.evaluate(*candidate_arrays(full))[column].min()
-            pruned_best = evaluator.evaluate(*candidate_arrays(pruned))[column].min()
+            full_best = evaluator.evaluate(
+                *CandidateTable.from_candidates(full).columns)[column].min()
+            pruned_best = evaluator.evaluate(*pruned.columns)[column].min()
             assert pruned_best == pytest.approx(full_best, rel=1e-12)
 
     def test_sample_and_neighbor_stay_legal(self, small_space):
@@ -123,6 +127,77 @@ class TestLayerMapSpace:
         assert "AlexNet" in space.describe()
 
 
+def _reference_rows(space):
+    """The pruned space straight from the plateau definitions, in plain Python.
+
+    Minimal ``p`` per ``ceil(Q/p)`` plateau plus the Table II ``p``; per
+    algorithm, the largest chunk ``<= min(capacity, passes)`` per refill
+    count; every stripe height (Winograd: the pinned ``K``); the image row
+    only when refills > 1.  Rows follow the documented table order.
+    """
+    kernel = space.layer.kernel_size
+    first_p = {}
+    for p in range(1, space.max_primitives + 1):
+        first_p.setdefault(-(-space.channel_pairs // p), p)
+    rows = []
+    for p in sorted(set(first_p.values()) | {space.max_primitives}):
+        passes = -(-space.channel_pairs // p)
+        for algorithm in space.algorithms:
+            winograd = algorithm == "winograd"
+            capacity = (space.winograd_capacity if winograd
+                        else space.kmemory_capacity)
+            largest = {}
+            for chunk in range(1, min(capacity, passes) + 1):
+                largest[-(-passes // chunk)] = chunk
+            for chunk in sorted(largest.values(), reverse=True):
+                images = (False, True) if passes > chunk else (False,)
+                heights = [kernel] if winograd else range(1, kernel + 1)
+                for height in heights:
+                    for image in images:
+                        rows.append((p, height, chunk, image, winograd))
+    return rows
+
+
+class TestCandidateTable:
+    @settings(max_examples=120, deadline=None)
+    @given(kernel=st.one_of(st.just(3), st.integers(1, 11)),
+           stride=st.sampled_from([1, 1, 2, 3]),
+           groups=st.sampled_from([1, 1, 2]),
+           in_per_group=st.integers(1, 48),
+           out_per_group=st.integers(1, 48),
+           pe_factor=st.integers(1, 24),
+           pe_extra=st.integers(0, 8),
+           capacity=st.integers(1, 64),
+           mode=st.sampled_from(ALGORITHM_MODES))
+    def test_table_matches_the_plateau_definition(
+            self, kernel, stride, groups, in_per_group, out_per_group,
+            pe_factor, pe_extra, capacity, mode):
+        layer = ConvLayer("prop", in_channels=in_per_group * groups,
+                          out_channels=out_per_group * groups,
+                          in_height=kernel + 6, in_width=kernel + 6,
+                          kernel_size=kernel, stride=stride, groups=groups)
+        config = ChainConfig(num_pes=kernel * kernel * pe_factor + pe_extra,
+                             kmemory_words_per_pe=capacity)
+        space = LayerMapSpace(layer, config, algorithm=mode)
+        table = space.enumerate()
+        rows = list(zip(*(column.tolist() for column in table.columns)))
+        assert rows == _reference_rows(space)
+        assert len(table) == space.pruned_size()
+        assert np.unique(_pack_keys(space, table)).size == len(table)
+        for index in np.linspace(0, len(table) - 1, 12).astype(int):
+            space.validate(table.candidate(int(index)))
+
+    def test_rows_round_trip_through_candidates(self, small_space):
+        table = small_space.enumerate()
+        head = table.take(np.arange(5))
+        rebuilt = CandidateTable.from_candidates(head.candidates())
+        for ours, theirs in zip(head.columns, rebuilt.columns):
+            assert ours.dtype == theirs.dtype
+            assert np.array_equal(ours, theirs)
+        assert head.candidate(2) == table.candidate(2)
+        assert len(CandidateTable.from_candidates([])) == 0
+
+
 class TestMappingBatchEvaluator:
     def test_baseline_matches_mapper_accounting(self, alexnet_net):
         """The columnar baseline row reproduces the LayerMapper quantities."""
@@ -133,7 +208,8 @@ class TestMappingBatchEvaluator:
         for layer in alexnet_net.conv_layers:
             space = LayerMapSpace(layer, config)
             evaluator = MappingBatchEvaluator(layer, config, batch=16)
-            columns = evaluator.evaluate(*candidate_arrays([space.baseline()]))
+            columns = evaluator.evaluate(
+                *CandidateTable.from_candidates([space.baseline()]).columns)
             mapping = mapper.map_layer(layer)
             assert columns["passes"][0] == mapping.passes
             assert columns["active_pes"][0] == mapping.active_pes
@@ -144,10 +220,10 @@ class TestMappingBatchEvaluator:
         """Evaluating a batch of candidates == evaluating them one by one."""
         evaluator = MappingBatchEvaluator(small_space.layer, small_space.config,
                                           batch=8)
-        candidates = small_space.enumerate()[::7]
-        together = evaluator.evaluate(*candidate_arrays(candidates))
-        for index, candidate in enumerate(candidates):
-            alone = evaluator.evaluate(*candidate_arrays([candidate]))
+        table = small_space.enumerate().take(slice(None, None, 7))
+        together = evaluator.evaluate(*table.columns)
+        for index in range(len(table)):
+            alone = evaluator.evaluate(*table.take([index]).columns)
             for column in MAPPING_RESULT_COLUMNS:
                 assert alone[column][0] == together[column][index]
 
@@ -161,7 +237,8 @@ class TestMappingBatchEvaluator:
         batch_major, image_major = (
             MappingCandidate(base.primitives, base.stripe_height, base.chunk, kind)
             for kind in ("batch", "image"))
-        columns = evaluator.evaluate(*candidate_arrays([batch_major, image_major]))
+        columns = evaluator.evaluate(
+            *CandidateTable.from_candidates([batch_major, image_major]).columns)
         assert columns["kmemory_refills"][0] > 1
         # batch-major: kernels once per batch, partials spill
         assert columns["kernel_load_cycles"][0] == layer.weight_count
@@ -185,8 +262,8 @@ class TestStrategies:
     def _scorer(self, space, objective="time_per_batch_s", batch=4):
         evaluator = MappingBatchEvaluator(space.layer, space.config, batch=batch)
 
-        def scorer(candidates):
-            return evaluator.evaluate(*candidate_arrays(list(candidates)))[objective]
+        def scorer(table):
+            return evaluator.evaluate(*table.columns)[objective]
 
         return scorer
 
@@ -207,7 +284,8 @@ class TestStrategies:
     @pytest.mark.parametrize("name", ["random", "greedy", "anneal"])
     def test_strategies_never_lose_to_baseline(self, small_space, name):
         scorer = self._scorer(small_space, objective="first_image_latency_s")
-        baseline_score = float(scorer([small_space.baseline()])[0])
+        baseline_score = float(scorer(
+            CandidateTable.from_candidates([small_space.baseline()]))[0])
         result = make_strategy(name).search(small_space, scorer)
         assert result.best_score <= baseline_score * (1 + 1e-12)
 

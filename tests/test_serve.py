@@ -332,6 +332,25 @@ class TestServerBitIdentity:
         assert [status for status, _ in responses] == [400, 404, 400, 400, 400]
         assert b"workers" in responses[3][1]
 
+    def test_chain_too_short_for_the_kernel_is_a_client_error(self):
+        """A MappingError is the request's fault: 400, never 500."""
+        async def clients(server):
+            return await asyncio.gather(
+                request_json(server.host, server.port, "/v1/map",
+                             {"network": "alexnet", "pes": 64}),
+                request_json(server.host, server.port, "/v1/run",
+                             {"network": "alexnet", "pes": 64}),
+            )
+
+        (map_status, map_raw), (run_status, run_raw) = _serve(clients)
+        # the map lane streams: the error arrives as the final event
+        assert map_status == 200
+        event = json.loads(map_raw.decode().splitlines()[-1])
+        assert event["event"] == "error" and event["status"] == 400
+        assert "needs 121 PEs but the chain has only 64" in event["error"]
+        assert run_status == 400
+        assert b"needs 121 PEs" in run_raw
+
     def test_health_and_metrics_endpoints(self):
         async def clients(server):
             health = await request_json(server.host, server.port,

@@ -45,9 +45,9 @@ from repro.mapping import ScheduleOptimizer, make_strategy
 from repro.mapping.mapspace import (
     ALGORITHM_MODES,
     ALGORITHMS,
+    CandidateTable,
     LayerMapSpace,
     MappingCandidate,
-    candidate_arrays,
 )
 from repro.sim.functional import FunctionalChainSimulator
 from repro.sim.network import FunctionalNetworkRunner
@@ -362,8 +362,9 @@ class TestMapSpaceAxis:
         direct = LayerMapSpace(layer, algorithm="direct")
         assert auto.algorithms == ALGORITHMS
         assert direct.algorithms == ("direct",)
-        candidates = auto.enumerate()
-        assert len(candidates) == auto.pruned_size()
+        table = auto.enumerate()
+        assert len(table) == auto.pruned_size()
+        candidates = table.candidates()
         algorithms = {c.algorithm for c in candidates}
         assert algorithms == {"direct", "winograd"}
         assert auto.pruned_size() > direct.pruned_size()
@@ -384,7 +385,7 @@ class TestMapSpaceAxis:
         baseline = space.baseline()
         assert baseline.is_winograd
         space.validate(baseline)
-        for candidate in space.enumerate():
+        for candidate in space.enumerate().candidates():
             assert candidate.is_winograd
             assert candidate.stripe_height == layer.kernel_size
             assert candidate.chunk <= space.winograd_capacity
@@ -427,15 +428,13 @@ class TestEvaluatorDispatch:
         layer = _eligible_layer(in_channels=32, out_channels=32,
                                 in_height=28, in_width=28)
         space = LayerMapSpace(layer, algorithm="auto")
-        candidates = space.enumerate()
+        table = space.enumerate()
         evaluator = MappingBatchEvaluator(layer, batch=4)
-        mixed = evaluator.evaluate(*candidate_arrays(candidates))
-        mask = np.array([c.is_winograd for c in candidates])
+        mixed = evaluator.evaluate(*table.columns)
+        mask = table.winograd
         assert mask.any() and (~mask).any()
-        direct_only = [c for c, wino in zip(candidates, mask) if not wino]
-        wino_only = [c for c, wino in zip(candidates, mask) if wino]
-        direct = evaluator.evaluate(*candidate_arrays(direct_only))
-        wino = evaluator.evaluate(*candidate_arrays(wino_only))
+        direct = evaluator.evaluate(*table.take(~mask).columns)
+        wino = evaluator.evaluate(*table.take(mask).columns)
         for name in MAPPING_RESULT_COLUMNS:
             assert np.array_equal(mixed[name][~mask], direct[name])
             assert np.array_equal(mixed[name][mask], wino[name])
@@ -445,7 +444,7 @@ class TestEvaluatorDispatch:
                             in_width=13, kernel_size=3, stride=2, padding=1)
         evaluator = MappingBatchEvaluator(strided, batch=1)
         candidate = MappingCandidate(primitives=1, stripe_height=3, chunk=1)
-        columns = candidate_arrays([candidate])
+        columns = CandidateTable.from_candidates([candidate]).columns
         with pytest.raises(ConfigurationError):
             evaluator.evaluate(*columns[:4],
                                winograd=np.array([True]))
@@ -461,7 +460,7 @@ class TestEvaluatorDispatch:
         space = LayerMapSpace(layer, algorithm="auto")
         base = space.baseline()
         pair = [base, space._as_winograd(base)]
-        columns = evaluator.evaluate(*candidate_arrays(pair))
+        columns = evaluator.evaluate(*CandidateTable.from_candidates(pair).columns)
         assert columns["conv_cycles_per_image"][1] < \
             columns["conv_cycles_per_image"][0]
 
