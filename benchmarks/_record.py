@@ -47,14 +47,30 @@ def record_benchmark(name: str, payload: Dict[str, Any]) -> Path:
     if not name or any(char in name for char in "/\\"):
         raise ValueError(f"benchmark name must be a plain identifier, got {name!r}")
     document = {
+        **payload,
         "schema": SCHEMA,
         "name": name,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "peak_rss_mb": peak_rss_mb(),
-        **payload,
     }
     path = REPO_ROOT / f"BENCH_{name}.json"
     path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
     return path
+
+
+def merge_benchmark(name: str, payload: Dict[str, Any]) -> Path:
+    """:func:`record_benchmark`, keeping the earlier record's other keys.
+
+    For a trajectory file that several benchmarks contribute to: whichever
+    runs later folds the others' numbers in instead of clobbering them.
+    """
+    path = REPO_ROOT / f"BENCH_{name}.json"
+    previous: Dict[str, Any] = {}
+    if path.is_file():
+        try:
+            previous = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError:
+            pass
+    return record_benchmark(name, {**previous, **payload})

@@ -23,36 +23,18 @@ reference).
 
 from __future__ import annotations
 
-import json
 import time
 
 import numpy as np
 import pytest
 
-from _record import REPO_ROOT, record_benchmark
+from _record import merge_benchmark
 from repro.cnn.generator import WorkloadGenerator
 from repro.cnn.quantize import quantize_layer_tensors
 from repro.cnn.zoo import alexnet
 from repro.core.config import ChainConfig
 from repro.sim.functional import FunctionalChainSimulator
 from repro.sim.network import FunctionalNetworkRunner
-
-
-def _merged_record(payload: dict) -> None:
-    """Merge ``payload`` into BENCH_functional.json, keeping earlier keys.
-
-    The two benchmarks here contribute to one trajectory file; whichever
-    runs later folds the other's numbers in instead of clobbering them.
-    """
-    path = REPO_ROOT / "BENCH_functional.json"
-    if path.is_file():
-        try:
-            previous = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError:
-            previous = {}
-        for key, value in previous.items():
-            payload.setdefault(key, value)
-    record_benchmark("functional", payload)
 
 
 def test_vectorized_functional_backend_speedup_on_alexnet_conv3(benchmark):
@@ -86,7 +68,7 @@ def test_vectorized_functional_backend_speedup_on_alexnet_conv3(benchmark):
     pair_ratio = layer.channel_pairs() / probe.channel_pairs()
     scalar_seconds = scalar_probe_seconds * pair_ratio
     speedup = scalar_seconds / fast_seconds
-    _merged_record({
+    merge_benchmark("functional", {
         "layer": layer.name,
         "windows_evaluated": fast_result.stats.windows_evaluated,
         "scalar_seconds": scalar_seconds,
@@ -121,7 +103,7 @@ def test_alexnet_network_functional_verification_is_seconds_scale(benchmark):
     assert result.seconds < 60.0, (
         f"AlexNet functional verification took {result.seconds:.1f}s"
     )
-    _merged_record({
+    merge_benchmark("functional", {
         "alexnet_verify_seconds": result.seconds,
         "alexnet_verify_windows_kept": result.stats.windows_kept,
         "alexnet_verify_max_abs_error": result.max_abs_error,

@@ -16,13 +16,12 @@ absolute throughput, numba version) at the repo root.
 
 from __future__ import annotations
 
-import json
 import time
 
 import numpy as np
 import pytest
 
-from _record import REPO_ROOT, record_benchmark
+from _record import merge_benchmark
 from repro.analysis.batch import MAPPING_RESULT_COLUMNS, MappingBatchEvaluator
 from repro.cnn.zoo import vgg16
 from repro.core.config import ChainConfig
@@ -32,21 +31,6 @@ BACKENDS = available_backends()
 
 #: timing repeats per backend (best-of, to shed scheduler noise)
 REPEATS = 3
-
-
-def _merged_record(payload: dict) -> None:
-    """Merge ``payload`` into BENCH_kernels.json, keeping earlier keys."""
-    path = REPO_ROOT / "BENCH_kernels.json"
-    if path.is_file():
-        try:
-            previous = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError:
-            previous = {}
-        for key, value in previous.items():
-            payload.setdefault(key, value)
-    payload.setdefault("backends_available", list(BACKENDS))
-    payload.setdefault("numba_version", numba_version())
-    record_benchmark("kernels", payload)
 
 
 def _best_of(fn) -> float:
@@ -91,6 +75,8 @@ def test_scorer_kernel_backend_speedup_on_candidate_batch(benchmark):
     benchmark(evaluators[BACKENDS[-1]].evaluate, *columns)
 
     payload = {
+        "backends_available": list(BACKENDS),
+        "numba_version": numba_version(),
         "scorer_layer": layer.name,
         "scorer_candidates": n,
         "scorer_numpy_seconds": seconds["numpy"],
@@ -100,7 +86,7 @@ def test_scorer_kernel_backend_speedup_on_candidate_batch(benchmark):
         payload["scorer_numba_seconds"] = seconds["numba"]
         payload["scorer_speedup_numba_vs_numpy"] = (
             seconds["numpy"] / seconds["numba"])
-    _merged_record(payload)
+    merge_benchmark("kernels", payload)
 
     if "numba" in seconds:
         speedup = seconds["numpy"] / seconds["numba"]

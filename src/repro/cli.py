@@ -97,7 +97,7 @@ from repro.engine import (
     available_engines,
     create_engine,
 )
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.hwmodel.clock import ClockDomain
 from repro.kernels import KERNEL_BACKEND_ENV, KNOWN_BACKENDS, set_default_backend
 from repro.mapping import OBJECTIVES, STRATEGIES, ScheduleOptimizer, make_strategy
@@ -283,9 +283,9 @@ def cmd_sweep_grid(args: argparse.Namespace) -> int:
         # grids run through the columnar evaluate_batch path (serial by
         # design: the fast path is array arithmetic, the fallback a per-point
         # loop); refusing beats silently ignoring the requested workers
-        print("error: --parallel/--jobs/--workers apply to axis sweeps only; "
-              "--grid evaluates through the columnar batch path", file=sys.stderr)
-        return 2
+        raise ConfigurationError(
+            "--parallel/--jobs/--workers apply to axis sweeps only; "
+            "--grid evaluates through the columnar batch path")
     # the columnar engines are numerically identical to their scalar
     # counterparts; dense grids dispatch to them in either fidelity mode
     engine = serve_payloads.upgrade_grid_engine(args.engine)
@@ -325,18 +325,14 @@ def cmd_sweep_grid(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.grid is not None and args.axis is not None:
-        print("error: give either a sweep axis or --grid, not both", file=sys.stderr)
-        return 2
+        raise ConfigurationError("give either a sweep axis or --grid, not both")
     if args.grid is None and args.axis is None:
-        print("error: need a sweep axis (pes/frequency/batch) or --grid",
-              file=sys.stderr)
-        return 2
+        raise ConfigurationError("need a sweep axis (pes/frequency/batch) or --grid")
     if args.grid is not None:
         return cmd_sweep_grid(args)
     if args.workers is not None and args.jobs is not None:
-        print("error: give either --workers or its legacy alias --jobs, not both",
-              file=sys.stderr)
-        return 2
+        raise ConfigurationError(
+            "give either --workers or its legacy alias --jobs, not both")
     workers = args.workers if args.workers is not None else args.jobs
     args.parallel = args.parallel or args.workers is not None
     explorer = DesignSpaceExplorer(

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.batch import (
     DEFAULT_OBJECTIVES,
@@ -203,6 +205,43 @@ class TestPareto:
         costs = rng.integers(0, 6, size=(60, 3)).astype(float)  # many ties
         assert np.array_equal(pareto_mask(costs), self.brute_force_mask(costs))
 
+    @staticmethod
+    def reference_mask(costs: np.ndarray) -> np.ndarray:
+        """All-pairs dominance as one broadcast: ``[j, i]`` is "j dominates i"."""
+        below = costs[:, None, :] <= costs[None, :, :]
+        strictly = costs[:, None, :] < costs[None, :, :]
+        return ~np.any(below.all(axis=2) & strictly.any(axis=2), axis=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 240), d=st.integers(1, 4), levels=st.integers(1, 6),
+           floats=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_mask_matches_vectorised_reference(self, n, d, levels, floats, seed):
+        rng = np.random.default_rng(seed)
+        costs = (rng.standard_normal((n, d)) if floats
+                 else rng.integers(0, levels, size=(n, d)).astype(float))
+        if n:  # exact duplicates of random rows, up to 300 rows in all
+            costs = np.concatenate([costs, costs[rng.integers(0, n, size=n // 4)]])
+        mask = pareto_mask(costs)
+        assert np.array_equal(mask, self.reference_mask(costs))
+
+        perm = rng.permutation(len(costs))
+        assert np.array_equal(pareto_mask(costs[perm]), mask[perm])
+
+        names = tuple(f"c{k}" for k in range(d))
+        flipped = names[::2]
+        columns = {name: -costs[:, k] if name in flipped else costs[:, k]
+                   for k, name in enumerate(names)}
+        assert np.array_equal(
+            pareto_mask(objective_matrix(columns, names, maximize=flipped)), mask)
+
+    def test_alexnet_request_grid_frontier_matches_reference(self):
+        result = BatchDesignEvaluator(alexnet()).evaluate_grid(
+            DesignGrid.parse("pe=248:2288:8,freq=200:1000:200", base=ChainConfig()))
+        costs = objective_matrix(result.columns(), DEFAULT_OBJECTIVES)
+        mask = pareto_mask(costs)
+        assert result.n_points == 1280 and int(mask.sum()) == 1185
+        assert np.array_equal(mask, self.reference_mask(costs))
+
     def test_duplicates_of_efficient_points_all_survive(self):
         costs = np.array([[1.0, 2.0], [1.0, 2.0], [2.0, 1.0], [3.0, 3.0]])
         assert pareto_mask(costs).tolist() == [True, True, True, False]
@@ -226,6 +265,12 @@ class TestPareto:
         assert matrix.tolist() == [[1.0, -3.0], [2.0, -4.0]]
         with pytest.raises(ConfigurationError, match="unknown objective"):
             objective_matrix(columns, ("missing",))
+
+    def test_empty_objectives_rejected(self):
+        result = BatchDesignEvaluator(lenet5()).evaluate_grid(
+            DesignGrid.from_axes(pe_counts=(144, 288)))
+        with pytest.raises(ConfigurationError, match="at least one objective"):
+            result.pareto(objectives=())
 
     def test_alexnet_grid_has_nonempty_frontier(self):
         result = BatchDesignEvaluator(alexnet()).evaluate_grid(

@@ -218,6 +218,12 @@ class TestGridCommands:
         assert main(["sweep", "--grid", "pe=128:256:64", "--parallel"]) == 2
         assert "axis sweeps only" in capsys.readouterr().err
 
+    def test_sweep_rejects_workers_with_jobs_alias(self, capsys):
+        assert main(["sweep", "pes", "--workers", "2", "--jobs", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "repro: error: give either --workers or its legacy alias --jobs, "
+            "not both\n")
+
     def test_sweep_grid_upgrades_detailed_engine(self, capsys):
         assert main(["sweep", "--grid", "pe=128:256:64", "--network", "lenet5",
                      "--engine", "analytical-detailed", "--json"]) == 0

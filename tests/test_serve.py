@@ -351,6 +351,16 @@ class TestServerBitIdentity:
         assert run_status == 400
         assert b"needs 121 PEs" in run_raw
 
+    def test_empty_pareto_objectives_is_a_client_error(self):
+        async def clients(server):
+            return await request_json(
+                server.host, server.port, "/v1/sweep",
+                {"grid": "pe=128:256:64", "pareto": True, "objectives": []})
+
+        status, raw = _serve(clients)
+        assert status == 400
+        assert b"at least one objective" in raw
+
     def test_health_and_metrics_endpoints(self):
         async def clients(server):
             health = await request_json(server.host, server.port,
