@@ -36,7 +36,12 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.pareto import objective_matrix, pareto_mask, top_k_indices
-from repro.analysis.winograd import winograd_cost_fields, winograd_eligible
+from repro.analysis.winograd import (
+    WINOGRAD_CYCLES_PER_TILE,
+    WINOGRAD_MULTIPLIES_PER_TILE,
+    winograd_cost_fields,
+    winograd_eligible,
+)
 from repro.cnn.network import Network
 from repro.core.config import MAINSTREAM_KERNEL_SIZES, ChainConfig
 from repro.core.dataflow import DataflowPlanner
@@ -46,7 +51,6 @@ from repro.energy.components import EnergyParams, GateCountParams
 from repro.energy.power import chain_power_w, memory_power_w
 from repro.errors import ConfigurationError
 from repro.hwmodel.clock import ClockDomain
-from repro.kernels import MappingCostParams, get_backend, resolve_backend_name
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
@@ -499,9 +503,8 @@ class BatchDesignEvaluator:
         constants.tiles_by_bits[bits] = (tile.th, tile.stripe_rows, stripes)
         return constants.tiles_by_bits[bits]
 
-    def mapping_evaluator(self, layer_index: int, batch: int,
-                          kernel_backend: Optional[str] = None,
-                          ) -> "MappingBatchEvaluator":
+    def mapping_evaluator(self, layer_index: int,
+                          batch: int) -> "MappingBatchEvaluator":
         """Columnar *mapping-candidate* evaluator for one layer of the network.
 
         The mapping-search subsystem (:mod:`repro.mapping`) scores its
@@ -513,7 +516,6 @@ class BatchDesignEvaluator:
             config=self.base,
             batch=batch,
             energy=self.energy,
-            kernel_backend=kernel_backend,
         )
 
     # ------------------------------------------------------------------ #
@@ -628,6 +630,218 @@ MAPPING_RESULT_COLUMNS = (
 )
 
 
+@dataclass(frozen=True)
+class MappingCostParams:
+    """Layer/hardware constants of one mapping-candidate scoring problem.
+
+    Everything :meth:`MappingBatchEvaluator.evaluate` needs besides the
+    candidate columns themselves, flattened to plain scalars.
+    """
+
+    kernel_area: int
+    channel_pairs: int
+    per_stripe_cycles: int
+    out_height: int
+    weight_count: int
+    batch: int
+    ofmap_words: int
+    stride: int
+    kernel_size: int
+    padded_width: int
+    in_channels_per_group: int
+    frequency_hz: float
+    word_bytes: int
+    pe_cycle_j: float
+    static_fraction: float
+    kmemory_access_j: float
+    imemory_access_j: float
+    omemory_access_j: float
+    dram_byte_j: float
+    # ---- Winograd F(2x2,3x3) extension (see repro.analysis.winograd) --- #
+    # zero/identity defaults mean "layer not eligible"; the batch evaluator
+    # fills them via winograd_cost_fields() and only calls
+    # score_mappings_winograd when they are set
+    wino_tiles_h: int = 0
+    wino_tiles_w: int = 0
+    wino_weight_count: int = 0
+    wino_ext_width: int = 0
+    wino_pe_energy_factor: float = 1.0
+
+
+def score_mappings(params: MappingCostParams, primitives: np.ndarray,
+                   stripe_height: np.ndarray, chunk: np.ndarray,
+                   image_major: np.ndarray) -> Dict[str, np.ndarray]:
+    """Score mapping-candidate columns; the integral-pass cost model.
+
+    Inputs are equally-long 1D arrays (``image_major`` boolean); the cost
+    model is documented on :class:`MappingBatchEvaluator`.
+    Returns the :data:`MAPPING_RESULT_COLUMNS` dict —
+    ``passes``/``active_pes``/``kmemory_refills``/``stripes`` int64,
+    everything else float64.
+    """
+    p = np.asarray(primitives, dtype=np.int64)
+    h = np.asarray(stripe_height, dtype=np.int64)
+    c = np.asarray(chunk, dtype=np.int64)
+    image_major = np.asarray(image_major, dtype=bool)
+    batch = params.batch
+
+    passes = -(-params.channel_pairs // p)
+    active_pes = p * params.kernel_area
+    stripes = -(-params.out_height // h)
+    conv_img = stripes * params.per_stripe_cycles * passes
+    chunk_eff = np.minimum(c, passes)
+    refills = -(-passes // chunk_eff)
+
+    weight_count = params.weight_count
+    reloads = image_major & (refills > 1)
+    load_cycles = np.where(reloads, weight_count * batch, weight_count)
+    batch_cycles = conv_img * batch + load_cycles
+
+    # first-image completion: image-major finishes after one image's
+    # convolutions; chunk-major-over-batch finishes (refills-1)/refills
+    # of the way into the batch (kernels always fully loaded by then)
+    batch_major_first = conv_img * ((refills - 1) * batch + 1) / refills
+    first_cycles = weight_count + np.where(image_major, conv_img,
+                                           batch_major_first)
+
+    spills = (~image_major) & (refills > 1)
+    spill_words = np.where(spills,
+                           2 * params.ofmap_words * (refills - 1) * batch, 0)
+
+    frequency = params.frequency_hz
+    time_batch_s = batch_cycles / frequency
+    first_s = first_cycles / frequency
+    fps = batch / time_batch_s
+
+    # ---- energy (joules per batch) ------------------------------------ #
+    chain_j = (params.pe_cycle_j * (1.0 + params.static_fraction)
+               * active_pes * conv_img * batch)
+    # kMemory: one weight read per MAC slot per stripe revisit, plus the
+    # write traffic of the (re)loads
+    if params.stride == 1:
+        kmem_repeats = stripes
+    else:
+        kmem_repeats = np.full_like(stripes, params.out_height)
+    kmem_words = (params.kernel_area * params.channel_pairs * kmem_repeats
+                  * batch + load_cycles)
+    kmem_j = params.kmemory_access_j * kmem_words
+    # iMemory: every pass streams its stripe bands (overlap rows re-read)
+    stripe_rows = (h - 1) * params.stride + params.kernel_size
+    imem_words = (stripes * stripe_rows * params.padded_width
+                  * params.channel_pairs * batch)
+    imem_j = params.imemory_access_j * imem_words
+    # oMemory: read-modify-write of the partial sum per kept window
+    omem_words = 2 * params.ofmap_words * params.in_channels_per_group * batch
+    omem_j = params.omemory_access_j * np.full(p.shape, float(omem_words))
+    # DRAM: weight (re)loads plus partial-sum spills
+    dram_words = load_cycles + spill_words
+    dram_j = params.dram_byte_j * dram_words * params.word_bytes
+
+    energy_j = chain_j + kmem_j + imem_j + omem_j + dram_j
+    return {
+        "passes": passes,
+        "active_pes": active_pes,
+        "kmemory_refills": refills,
+        "stripes": stripes,
+        "conv_cycles_per_image": conv_img.astype(np.float64),
+        "kernel_load_cycles": load_cycles.astype(np.float64),
+        "batch_cycles": batch_cycles.astype(np.float64),
+        "first_image_cycles": np.asarray(first_cycles, dtype=np.float64),
+        "time_per_batch_s": time_batch_s,
+        "first_image_latency_s": first_s,
+        "fps": fps,
+        "spill_dram_words": spill_words.astype(np.float64),
+        "energy_per_batch_j": energy_j,
+        "edp_js": energy_j * time_batch_s,
+    }
+
+
+def score_mappings_winograd(params: MappingCostParams, primitives: np.ndarray,
+                            chunk: np.ndarray,
+                            image_major: np.ndarray) -> Dict[str, np.ndarray]:
+    """Score Winograd-algorithm mapping candidates; same metric vector.
+
+    Mirrors :func:`score_mappings` term by term with the transform-domain
+    substitutions documented in :mod:`repro.analysis.winograd`: one stripe
+    is one 2-output-row tile row (``stripes = wino_tiles_h``, the
+    stripe-height axis is pinned), each tile costs 2 multiply cycles plus 1
+    transform-overhead cycle, kernel memory holds 16-word transformed
+    planes (``wino_weight_count``), 4 input rows stream per stripe, and the
+    PE energy term carries the wider-accumulator factor.
+    """
+    p = np.asarray(primitives, dtype=np.int64)
+    c = np.asarray(chunk, dtype=np.int64)
+    image_major = np.asarray(image_major, dtype=bool)
+    batch = params.batch
+
+    passes = -(-params.channel_pairs // p)
+    active_pes = p * params.kernel_area
+    stripes = np.full_like(p, params.wino_tiles_h)
+    per_stripe = (WINOGRAD_CYCLES_PER_TILE * params.wino_tiles_w
+                  + (params.kernel_area - 1))
+    conv_img = stripes * per_stripe * passes
+    chunk_eff = np.minimum(c, passes)
+    refills = -(-passes // chunk_eff)
+
+    weight_count = params.wino_weight_count
+    reloads = image_major & (refills > 1)
+    load_cycles = np.where(reloads, weight_count * batch, weight_count)
+    batch_cycles = conv_img * batch + load_cycles
+
+    batch_major_first = conv_img * ((refills - 1) * batch + 1) / refills
+    first_cycles = weight_count + np.where(image_major, conv_img,
+                                           batch_major_first)
+
+    spills = (~image_major) & (refills > 1)
+    spill_words = np.where(spills,
+                           2 * params.ofmap_words * (refills - 1) * batch, 0)
+
+    frequency = params.frequency_hz
+    time_batch_s = batch_cycles / frequency
+    first_s = first_cycles / frequency
+    fps = batch / time_batch_s
+
+    # ---- energy (joules per batch) ------------------------------------ #
+    # wider transform-domain accumulators scale the PE term
+    chain_j = (params.pe_cycle_j * params.wino_pe_energy_factor
+               * (1.0 + params.static_fraction)
+               * active_pes * conv_img * batch)
+    # kMemory: one transformed-plane word per multiply slot per tile-row
+    # revisit, plus the (re)load write traffic
+    kmem_words = (WINOGRAD_MULTIPLIES_PER_TILE * params.channel_pairs * stripes
+                  * batch + load_cycles)
+    kmem_j = params.kmemory_access_j * kmem_words
+    # iMemory: each tile row streams its 4 input rows of the tile-aligned
+    # extended plane
+    imem_words = (stripes * 4 * params.wino_ext_width
+                  * params.channel_pairs * batch)
+    imem_j = params.imemory_access_j * imem_words
+    # oMemory: read-modify-write of the partial sum, unchanged
+    omem_words = 2 * params.ofmap_words * params.in_channels_per_group * batch
+    omem_j = params.omemory_access_j * np.full(p.shape, float(omem_words))
+    # DRAM: transformed-plane (re)loads plus partial-sum spills
+    dram_words = load_cycles + spill_words
+    dram_j = params.dram_byte_j * dram_words * params.word_bytes
+
+    energy_j = chain_j + kmem_j + imem_j + omem_j + dram_j
+    return {
+        "passes": passes,
+        "active_pes": active_pes,
+        "kmemory_refills": refills,
+        "stripes": stripes,
+        "conv_cycles_per_image": conv_img.astype(np.float64),
+        "kernel_load_cycles": load_cycles.astype(np.float64),
+        "batch_cycles": batch_cycles.astype(np.float64),
+        "first_image_cycles": np.asarray(first_cycles, dtype=np.float64),
+        "time_per_batch_s": time_batch_s,
+        "first_image_latency_s": first_s,
+        "fps": fps,
+        "spill_dram_words": spill_words.astype(np.float64),
+        "energy_per_batch_j": energy_j,
+        "edp_js": energy_j * time_batch_s,
+    }
+
+
 class MappingBatchEvaluator:
     """Columnar evaluation of per-layer *mapping candidates*.
 
@@ -660,24 +874,19 @@ class MappingBatchEvaluator:
     (busy-PE cycles x unit energies, with the static fraction on the chain
     term); DRAM spill/reload traffic is charged at ``dram_byte_j``.
 
-    The arithmetic itself lives in :mod:`repro.kernels`
-    (:func:`repro.kernels.numpy_backend.score_mappings` is the reference
-    specification; the numba backend is its bit-identical compiled form);
-    ``kernel_backend`` selects the implementation, ``None`` meaning the
-    process default.  Scores *and* argmins are identical across backends,
-    so the search results never depend on the selection.
+    The arithmetic itself is :func:`score_mappings` (direct) and
+    :func:`score_mappings_winograd` (transform domain).
     """
 
     def __init__(self, layer, config: Optional[ChainConfig] = None,
-                 batch: int = 1, energy: Optional[EnergyParams] = None,
-                 kernel_backend: Optional[str] = None) -> None:
+                 batch: int = 1,
+                 energy: Optional[EnergyParams] = None) -> None:
         if batch < 1:
             raise ConfigurationError(f"batch must be >= 1, got {batch}")
         self.layer = layer
         self.config = config or ChainConfig()
         self.batch = int(batch)
         self.energy = energy or EnergyParams()
-        self.kernel_backend = resolve_backend_name(kernel_backend)
         k = layer.kernel_size
         self.kernel_area = k * k
         if self.kernel_area > self.config.num_pes:
@@ -734,32 +943,31 @@ class MappingBatchEvaluator:
         :meth:`repro.core.mapper.LayerMapper.map_layer_with` /
         :class:`repro.mapping.LayerMapSpace` to validate candidates).
         """
-        backend = get_backend(self.kernel_backend)
         primitives = np.asarray(primitives, dtype=np.int64)
         _M_CANDIDATES_SCORED.inc(primitives.shape[0] if primitives.ndim else 1)
         stripe_height = np.asarray(stripe_height, dtype=np.int64)
         chunk = np.asarray(chunk, dtype=np.int64)
         interleave_image = np.asarray(interleave_image, dtype=bool)
         if winograd is None:
-            return backend.score_mappings(
+            return score_mappings(
                 self._params, primitives, stripe_height, chunk,
                 interleave_image)
         winograd = np.asarray(winograd, dtype=bool)
         if not winograd.any():
-            return backend.score_mappings(
+            return score_mappings(
                 self._params, primitives, stripe_height, chunk,
                 interleave_image)
         if not self.winograd_eligible:
             raise ConfigurationError(
                 f"{self.layer.name}: winograd candidates on a layer that is "
                 f"not F(2x2,3x3)-eligible (needs kernel_size=3, stride=1)")
-        wino = backend.score_mappings_winograd(
+        wino = score_mappings_winograd(
             self._params, primitives[winograd], chunk[winograd],
             interleave_image[winograd])
         if winograd.all():
             return wino
         direct_mask = ~winograd
-        direct = backend.score_mappings(
+        direct = score_mappings(
             self._params, primitives[direct_mask], stripe_height[direct_mask],
             chunk[direct_mask], interleave_image[direct_mask])
         merged: Dict[str, np.ndarray] = {}

@@ -9,9 +9,9 @@ kernel memory (a 16/9 footprint expansion), and wider accumulators in the
 transform domain.
 
 The closed forms here mirror the direct model in
-:mod:`repro.kernels.numpy_backend` term by term so the two algorithms
-produce the *same metric vector* (``MAPPING_RESULT_COLUMNS``) and are
-directly comparable per layer:
+:func:`repro.analysis.batch.score_mappings` term by term so the two
+algorithms produce the *same metric vector* (``MAPPING_RESULT_COLUMNS``)
+and are directly comparable per layer:
 
 * A K^2 = 9-PE chain primitive is repurposed as a bank of transform-domain
   multipliers: the 16 Hadamard multiplies of one tile take
@@ -120,11 +120,11 @@ def winograd_kmemory_capacity(capacity: int) -> int:
 
 
 def winograd_cost_fields(layer: ConvLayer) -> dict:
-    """The extra :class:`~repro.kernels.MappingCostParams` fields.
+    """The extra :class:`~repro.analysis.batch.MappingCostParams` fields.
 
     Returns the Winograd-specific closed-form inputs consumed by
-    ``score_mappings_winograd``; raises nothing — callers gate on
-    :func:`winograd_eligible` first.
+    :func:`~repro.analysis.batch.score_mappings_winograd`; raises nothing —
+    callers gate on :func:`winograd_eligible` first.
     """
     tiles_h, tiles_w = winograd_tile_grid(layer)
     return {

@@ -30,8 +30,8 @@ writing any Python:
 * ``networks``    — list the network zoo with per-network layer counts,
   MACs, parameter totals and Winograd-eligible MAC coverage;
 * ``bench``       — run a registered benchmark (``sweep``, ``cycle``,
-  ``functional``, ``mapping``, ``obs``, ``parallel``, ``kernels``,
-  ``faults``, ``winograd`` or ``all``) and write its ``BENCH_*.json``
+  ``functional``, ``mapping``, ``obs``, ``parallel``, ``faults``,
+  ``winograd``, ``serve`` or ``all``) and write its ``BENCH_*.json``
   trajectory record;
 * ``trace``       — ``summarize FILE`` renders per-span statistics for a
   wall-clock trace exported with ``--trace``.
@@ -42,7 +42,7 @@ search and pool workers merged onto one timeline — as Chrome trace-event
 JSON (load in Perfetto / chrome://tracing; a ``.jsonl`` suffix selects the
 line-oriented format instead), and ``--metrics`` dumps the metrics
 registry (cache hits/misses, candidates enumerated/pruned/scored, retries,
-backend dispatches, ...) to stderr after the command.  ``sweep`` and
+pool replacements, ...) to stderr after the command.  ``sweep`` and
 ``map`` always print a one-line stats footer (wall time, throughput,
 cache hit-rate, workers) even without either flag.
 
@@ -53,11 +53,8 @@ layers, ``auto`` lets the mapping search pick direct vs Winograd per layer
 under the never-worse guarantee.
 
 Every command takes ``--pes`` and ``--frequency-mhz`` so non-paper
-instantiations can be explored from the shell, plus ``--kernel-backend
-{numpy,numba}`` to pin the :mod:`repro.kernels` compute backend (default:
-``$REPRO_KERNEL_BACKEND`` or autodetection, with a bit-identical NumPy
-fallback when numba is unavailable); ``run``/``sweep``/``map``/``verify``
-additionally take ``--workers`` to fan work over the persistent
+instantiations can be explored from the shell; ``run``/``sweep``/``map``/
+``verify`` additionally take ``--workers`` to fan work over the persistent
 shared-memory parallel runtime (:mod:`repro.runtime`) with bit-identical
 results.  The supervised runtime's fault-tolerance knobs are global too:
 ``--task-deadline`` / ``--task-retries`` set the hang deadline and retry
@@ -99,7 +96,6 @@ from repro.engine import (
 )
 from repro.errors import ConfigurationError, ReproError
 from repro.hwmodel.clock import ClockDomain
-from repro.kernels import KERNEL_BACKEND_ENV, KNOWN_BACKENDS, set_default_backend
 from repro.mapping import OBJECTIVES, STRATEGIES, ScheduleOptimizer, make_strategy
 from repro.mapping.mapspace import ALGORITHM_MODES
 from repro.obs import trace as obs_trace
@@ -669,7 +665,6 @@ BENCHMARKS = {
     "functional": ("benchmarks/bench_functional.py",),
     "mapping": ("benchmarks/bench_mapping.py",),
     "parallel": ("benchmarks/bench_parallel.py",),
-    "kernels": ("benchmarks/bench_kernels.py",),
     "faults": ("benchmarks/bench_faults.py",),
     "winograd": ("benchmarks/bench_winograd.py",),
     "obs": ("benchmarks/bench_obs.py",),
@@ -710,10 +705,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         env["PYTHONPATH"] = os.pathsep.join(
             [str(src_dir)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
         )
-        if args.kernel_backend is not None:
-            # the benchmarks run in a pytest subprocess; the CLI flag crosses
-            # the process boundary as the backend environment variable
-            env[KERNEL_BACKEND_ENV] = args.kernel_backend
         print(f"[bench {name}] {' '.join(command[2:])}")
         outcome = subprocess.run(command, env=env, cwd=repo_root)
         if outcome.returncode != 0:
@@ -774,11 +765,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--pes", type=int, default=576, help="number of PEs in the chain")
     parser.add_argument("--frequency-mhz", type=float, default=700.0, help="core clock (MHz)")
-    parser.add_argument("--kernel-backend", choices=KNOWN_BACKENDS, default=None,
-                        help="repro.kernels compute backend (default: "
-                             f"${KERNEL_BACKEND_ENV} or autodetection; a "
-                             "requested-but-unavailable backend degrades to "
-                             "the bit-identical numpy reference)")
     parser.add_argument("--task-deadline", type=_positive_float, default=None,
                         metavar="SECONDS",
                         help="supervised-runtime hang deadline: a worker "
@@ -1084,10 +1070,6 @@ def _print_stats_footer(args: argparse.Namespace, wall_s: float) -> None:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    if args.kernel_backend is not None:
-        # the CLI flag outranks $REPRO_KERNEL_BACKEND; every engine,
-        # simulator and worker constructed below inherits this default
-        set_default_backend(args.kernel_backend)
     if args.task_deadline is not None:
         # exported (not threaded through call chains) so RetryPolicy.from_env
         # picks it up wherever a supervised pool is constructed downstream

@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.cnn.layer import ConvLayer
-from repro.errors import WorkloadError
+from repro.errors import ConfigurationError, WorkloadError
 
 
 def stable_seed(*parts) -> int:
@@ -67,8 +67,7 @@ class WorkloadGenerator:
     """Deterministic (seeded) generator of synthetic CNN tensors."""
 
     def __init__(self, seed: int = 2017) -> None:
-        self.seed = seed
-        self._rng = np.random.default_rng(seed)
+        self.reseed(seed)
 
     # ------------------------------------------------------------------ #
     # weights
@@ -136,6 +135,8 @@ class WorkloadGenerator:
 
     def reseed(self, seed: int) -> None:
         """Reset the underlying RNG (makes long test campaigns reproducible)."""
+        if seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {seed}")
         self.seed = seed
         self._rng = np.random.default_rng(seed)
 

@@ -43,7 +43,6 @@ from repro.core.utilization import minimum_utilization
 from repro.energy.area import AreaModel
 from repro.engine.base import Engine, RunRecord
 from repro.engine.cache import canonical_json, config_fingerprint, workload_fingerprint
-from repro.kernels import backend_fingerprint
 from repro.engine.registry import register_engine
 from repro.sim.cycle import CycleAccurateChainSimulator
 from repro.sim.functional import FunctionalChainSimulator
@@ -190,16 +189,14 @@ class MappedAnalyticalEngine(Engine):
 
     def __init__(self, config: Optional[ChainConfig] = None,
                  objective: str = "throughput", strategy: str = "exhaustive",
-                 shortlist: int = 4, kernel_backend: Optional[str] = None,
-                 algorithm: str = "direct", **strategy_kwargs) -> None:
-        from repro.kernels import resolve_backend_name
+                 shortlist: int = 4, algorithm: str = "direct",
+                 **strategy_kwargs) -> None:
         from repro.mapping import make_strategy
 
         self.name = "analytical-mapped"
         self.default_config = config or ChainConfig()
         self.objective = objective
         self.shortlist = shortlist
-        self.kernel_backend = resolve_backend_name(kernel_backend)
         self.algorithm = algorithm
         self.strategy = make_strategy(strategy, **strategy_kwargs)
         self._memo: Dict[str, Any] = {}
@@ -219,7 +216,6 @@ class MappedAnalyticalEngine(Engine):
                 strategy=self.strategy,
                 batch=batch,
                 shortlist=self.shortlist,
-                kernel_backend=self.kernel_backend,
                 algorithm=self.algorithm,
             )
             self._memo[memo_key] = optimizer.optimize(network)
@@ -260,10 +256,6 @@ class MappedAnalyticalEngine(Engine):
             "strategy": self.strategy.fingerprint(),
             "shortlist": self.shortlist,
             "default_config": dataclasses.asdict(self.default_config),
-            # candidate scoring runs on a repro.kernels backend; every
-            # backend is bit-identical, but the fingerprint keeps cached
-            # records attributable if a compiled backend ever misbehaves
-            "kernels": backend_fingerprint(self.kernel_backend),
         }
         # the algorithm axis only enters the key when it changes the search
         # space, so pre-existing direct-mode cache entries remain valid
@@ -390,13 +382,9 @@ class FunctionalEngine(Engine):
 
     def __init__(self, seed: int = 2017, backend: str = "scalar",
                  workers: Optional[int] = None,
-                 kernel_backend: Optional[str] = None,
                  algorithm: str = "direct") -> None:
-        from repro.kernels import resolve_backend_name
-
         self.seed = seed
         self.backend = backend
-        self.kernel_backend = resolve_backend_name(kernel_backend)
         #: "direct" runs every layer on the sliding-window dataflow;
         #: "winograd"/"auto" run eligible 3x3-stride-1 layers in the
         #: transform domain (ineligible layers always stay direct)
@@ -424,8 +412,7 @@ class FunctionalEngine(Engine):
         })
         if memo_key in self._memo:
             return self._memo[memo_key]
-        simulator = FunctionalChainSimulator(config, backend=self.backend,
-                                             kernel_backend=self.kernel_backend)
+        simulator = FunctionalChainSimulator(config, backend=self.backend)
         generator = WorkloadGenerator(seed=self.seed)
         runtime = self._runtime()
         layers: Dict[str, Dict[str, float]] = {}
@@ -498,9 +485,6 @@ class FunctionalEngine(Engine):
             "version": self.VERSION,
             "seed": self.seed,
             "backend": self.backend,
-            # every repro.kernels backend is bit-identical; the fingerprint
-            # still records which one computed a cached result
-            "kernels": backend_fingerprint(self.kernel_backend),
         }
         # only a non-default algorithm changes the simulated numbers, so the
         # direct-mode cache keys stay identical to earlier library versions

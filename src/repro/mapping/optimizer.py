@@ -51,7 +51,6 @@ from repro.engine.cache import (
 from repro.errors import ConfigurationError
 from repro.analysis.winograd import winograd_tile_grid
 from repro.cnn.reference import conv2d_im2col, pad_input
-from repro.kernels import backend_fingerprint, resolve_backend_name
 from repro.mapping.mapspace import (
     ALGORITHM_MODES,
     CandidateTable,
@@ -108,20 +107,15 @@ def network_objective(objective: str,
 
 
 def make_layer_scorer(layer, config: ChainConfig, objective: str, batch: int,
-                      energy: EnergyParams,
-                      kernel_backend: Optional[str] = None):
+                      energy: EnergyParams):
     """(evaluator, scorer) for one layer — the single scoring construction.
 
     Both the serial :meth:`ScheduleOptimizer.search_layer` and the parallel
     ``map.search_layer`` worker task score through this, so there is exactly
     one definition of how a candidate table becomes objective values.
-    ``kernel_backend`` selects the :mod:`repro.kernels` scorer backend;
-    every backend is bit-identical, so scores and argmins never depend on
-    the choice.
     """
     evaluator = MappingBatchEvaluator(layer, config=config, batch=batch,
-                                      energy=energy,
-                                      kernel_backend=kernel_backend)
+                                      energy=energy)
     proxy = OBJECTIVES[objective]
 
     def scorer(table: CandidateTable) -> np.ndarray:
@@ -134,7 +128,6 @@ def make_layer_scorer(layer, config: ChainConfig, objective: str, batch: int,
 def search_layer_entry(layer, config: ChainConfig, objective: str,
                        strategy: Strategy, batch: int, energy: EnergyParams,
                        shortlist: int,
-                       kernel_backend: Optional[str] = None,
                        algorithm: str = "direct") -> Dict[str, Any]:
     """Search one layer's mapspace and score its shortlist pool.
 
@@ -151,8 +144,7 @@ def search_layer_entry(layer, config: ChainConfig, objective: str,
                         strategy=strategy.name, objective=objective) as layer_span:
         space = LayerMapSpace(layer, config, algorithm=algorithm)
         evaluator, scorer = make_layer_scorer(layer, config, objective, batch,
-                                              energy,
-                                              kernel_backend=kernel_backend)
+                                              energy)
         result = strategy.search(space, scorer, shortlist=shortlist)
         layer_span.set(evaluations=result.evaluations)
         baseline = space.baseline()
@@ -401,7 +393,6 @@ class ScheduleOptimizer:
         cache: Optional[RunCache] = None,
         shortlist: int = 4,
         workers: Optional[int] = None,
-        kernel_backend: Optional[str] = None,
         algorithm: str = "direct",
     ) -> None:
         if objective not in OBJECTIVES:
@@ -435,11 +426,6 @@ class ScheduleOptimizer:
         #: (``None``/1 = serial); results are bit-identical either way, so
         #: the worker count deliberately stays out of the cache fingerprint
         self.workers = workers
-        #: effective :mod:`repro.kernels` scorer backend; resolved once so
-        #: serial and parallel searches use the same implementation (it
-        #: *does* enter the fingerprint — backends are bit-identical, but
-        #: the cache stays conservative about who produced a record)
-        self.kernel_backend = resolve_backend_name(kernel_backend)
         self._pool = shared_runtime()
 
     # ------------------------------------------------------------------ #
@@ -448,8 +434,7 @@ class ScheduleOptimizer:
     def search_layer(self, space: LayerMapSpace) -> SearchResult:
         """Run the configured strategy over one layer's space."""
         _, scorer = make_layer_scorer(space.layer, self.config, self.objective,
-                                      self.batch, self.energy,
-                                      kernel_backend=self.kernel_backend)
+                                      self.batch, self.energy)
         return self.strategy.search(space, scorer, shortlist=self.shortlist)
 
     def optimize(self, network: Network) -> OptimizedSchedule:
@@ -505,7 +490,6 @@ class ScheduleOptimizer:
                         "batch": self.batch,
                         "energy": self.energy,
                         "shortlist": self.shortlist,
-                        "kernel_backend": self.kernel_backend,
                         "algorithm": self.algorithm,
                     }
                     for layer in layers
@@ -517,9 +501,7 @@ class ScheduleOptimizer:
         return [
             search_layer_entry(layer, self.config, self.objective,
                                self.strategy, self.batch, self.energy,
-                               self.shortlist,
-                               kernel_backend=self.kernel_backend,
-                               algorithm=self.algorithm)
+                               self.shortlist, algorithm=self.algorithm)
             for layer in layers
         ]
 
@@ -601,7 +583,6 @@ class ScheduleOptimizer:
             "batch": self.batch,
             "shortlist": self.shortlist,
             "energy": asdict(self.energy),
-            "kernels": backend_fingerprint(self.kernel_backend),
         }
         if self.algorithm != "direct":
             fingerprint["algorithm"] = self.algorithm
@@ -647,8 +628,7 @@ class ScheduleOptimizer:
         outcome = MappingVerification(network_name=network.name, seed=seed,
                                       tolerance=tolerance)
         parent = WorkloadGenerator(seed=seed)
-        simulator = FunctionalChainSimulator(self.config, backend="vectorized",
-                                             kernel_backend=self.kernel_backend)
+        simulator = FunctionalChainSimulator(self.config, backend="vectorized")
         verified: Dict[Tuple, int] = {}
         covers: Dict[int, List[str]] = {}
         for layer in network.conv_layers:
@@ -668,18 +648,15 @@ class ScheduleOptimizer:
             started = time.perf_counter()
             if entry.candidate.is_winograd:
                 reference = conv2d_im2col(layer, ifmaps, weights)
-                ofmaps = conv2d_winograd(layer, ifmaps, weights,
-                                         kernel_backend=self.kernel_backend)
+                ofmaps = conv2d_winograd(layer, ifmaps, weights)
                 error = float(np.max(np.abs(ofmaps - reference)))
                 padded = pad_input(np.asarray(ifmaps, dtype=np.float64),
                                    layer.padding)
                 split = np.zeros_like(ofmaps)
                 half = max(1, layer.out_channels // 2)
-                winograd_ofmap_block(layer, padded, weights, 0, half, split,
-                                     kernel_backend=self.kernel_backend)
+                winograd_ofmap_block(layer, padded, weights, 0, half, split)
                 winograd_ofmap_block(layer, padded, weights, half,
-                                     layer.out_channels, split,
-                                     kernel_backend=self.kernel_backend)
+                                     layer.out_channels, split)
                 identical = bool(np.array_equal(ofmaps, split))
                 tiles_h, tiles_w = winograd_tile_grid(layer)
                 verified[key] = len(outcome.layers)

@@ -43,6 +43,7 @@ import weakref
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import trace as obs_trace
+from repro.obs.metrics import REGISTRY
 from repro.runtime.faults import FaultPlan, resolve_fault_plan
 from repro.runtime.tasks import TASKS
 
@@ -388,7 +389,9 @@ class LazyRuntime:
       points never fork a 64-core pool — and a later call with more work
       **grows** the pool (replacing the small one) rather than staying
       pinned to the first call's size; replacing a *live* pool emits a
-      one-line warning so double-spawns are visible, never silent;
+      one-line warning, a ``runtime.pool_replaced`` counter and a trace
+      instant carrying the reason, so double-spawns are visible, never
+      silent;
     * a per-call ``workers`` override sizes the pool for that caller
       without rebuilding it when callers with different ``--workers``
       alternate — the pool only ever grows to the largest request;
@@ -448,6 +451,9 @@ class LazyRuntime:
             reason = ("fault plan changed"
                       if live.fault_plan.describe() != plan_current
                       else f"growing to {target} workers for this call")
+            REGISTRY.counter("runtime.pool_replaced").inc()
+            obs_trace.instant("runtime.pool_replaced", reason=reason,
+                              workers=live.workers, target=target)
             warnings.warn(
                 f"replacing live {live.workers}-worker pool ({reason})",
                 RuntimeWarning,
@@ -462,15 +468,9 @@ class LazyRuntime:
 
         self._runtime = SupervisedRuntime.create(target)
         runtime = self.runtime
-        if runtime is not None:
-            if self.policy is not None and hasattr(runtime, "policy"):
-                runtime.policy = self.policy
-            # pre-warm the kernel backend once per worker, so JIT compilation
-            # (numba backend) never lands inside a timed or per-layer task
-            from repro.kernels import resolve_backend_name
-
-            runtime.broadcast("kernels.configure",
-                              {"backend": resolve_backend_name()})
+        if runtime is not None and self.policy is not None \
+                and hasattr(runtime, "policy"):
+            runtime.policy = self.policy
         return runtime
 
     def close(self) -> None:

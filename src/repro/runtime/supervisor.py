@@ -14,7 +14,7 @@ alive through worker crashes, hangs and stragglers:
   between consecutive deaths) and their in-flight tasks re-dispatched to
   healthy workers, each task bounded by :attr:`RetryPolicy.max_attempts`;
 * **context replay** — a respawned worker is empty; the supervisor keeps a
-  log of every successful :meth:`broadcast` (networks, kernel config) and
+  log of every successful :meth:`broadcast` (networks) and
   replays it into fresh workers before handing them tasks;
 * **poison quarantine** — a task whose dispatches keep killing workers is
   pulled out of the pool after ``max_attempts`` charges: re-executed
@@ -160,7 +160,7 @@ class SupervisedRuntime(ParallelRuntime):
         self.policy = policy if policy is not None else RetryPolicy.from_env()
         self.stats = SupervisionStats()
         #: successfully broadcast (task, payload) pairs, replayed into every
-        #: respawned worker so fresh processes regain networks/kernel config
+        #: respawned worker so fresh processes regain broadcast networks
         self._broadcast_log: List[Tuple[str, Any]] = []
         #: per-worker count of log entries applied to the live incarnation
         self._applied: List[int] = [0] * workers

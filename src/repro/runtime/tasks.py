@@ -60,32 +60,6 @@ def _selftest(payload: Dict[str, Any], context: Dict[str, Any]) -> Any:
 
 
 # --------------------------------------------------------------------- #
-# compiled-kernel backend configuration
-# --------------------------------------------------------------------- #
-@task("kernels.configure")
-def _kernels_configure(payload: Dict[str, Any], context: Dict[str, Any]) -> Any:
-    """Install and pre-warm the kernel backend in this worker (broadcast).
-
-    Broadcast once after pool creation so every worker pays any JIT
-    compilation cost up front, instead of on its first real task.  A worker
-    where the requested backend cannot be provided degrades to the NumPy
-    reference backend — bit-identical results, so the pool never mixes
-    numerics even if workers disagree on availability.
-    """
-    from repro.kernels import set_default_backend, warmup
-
-    requested = payload.get("backend")
-    try:
-        set_default_backend(requested)
-        effective = warmup()
-    except Exception:  # pragma: no cover - defensive: never kill the pool
-        set_default_backend("numpy")
-        effective = warmup()
-    context["kernel_backend"] = effective
-    return {"worker_id": context["worker_id"], "kernel_backend": effective}
-
-
-# --------------------------------------------------------------------- #
 # sweep evaluation (SweepExecutor)
 # --------------------------------------------------------------------- #
 @task("sweep.set_network")
@@ -135,7 +109,6 @@ def _map_search_layer(payload: Dict[str, Any], context: Dict[str, Any]) -> Any:
         batch=payload["batch"],
         energy=payload["energy"],
         shortlist=payload["shortlist"],
-        kernel_backend=payload.get("kernel_backend"),
         algorithm=payload.get("algorithm", "direct"),
     )
 
@@ -172,12 +145,10 @@ def _verify_sim_block(payload: Dict[str, Any], context: Dict[str, Any]) -> int:
         out = out_handle.open()
         if algorithm == "winograd":
             winograd_ofmap_block(layer, padded, weights, m_start, m_stop,
-                                 out=out,
-                                 kernel_backend=payload.get("kernel_backend"))
+                                 out=out)
         else:
             vectorized_ofmap_block(layer, padded, weights, m_start, m_stop,
                                    out=out,
-                                   kernel_backend=payload.get("kernel_backend"),
                                    stripe_height=payload.get("stripe_height"))
     finally:
         padded_handle.close()

@@ -45,7 +45,6 @@ from repro.core.config import ChainConfig
 from repro.core.mapper import LayerMapper, LayerMapping
 from repro.core.scan import ColumnScanSchedule
 from repro.errors import ConfigurationError, SimulationError, WorkloadError
-from repro.kernels import resolve_backend_name
 from repro.sim import functional_vectorized
 from repro.sim.functional_vectorized import (
     pair_window_stats,
@@ -109,8 +108,7 @@ class FunctionalChainSimulator:
     """Dataflow-level simulator of the Chain-NN execution of a conv layer."""
 
     def __init__(self, config: Optional[ChainConfig] = None,
-                 backend: str = "scalar",
-                 kernel_backend: Optional[str] = None) -> None:
+                 backend: str = "scalar") -> None:
         if backend not in FUNCTIONAL_BACKENDS + ("both",):
             raise ConfigurationError(
                 f"unknown functional backend {backend!r}; "
@@ -118,10 +116,6 @@ class FunctionalChainSimulator:
             )
         self.config = config or ChainConfig()
         self.backend = backend
-        #: effective :mod:`repro.kernels` backend of the vectorized path
-        #: (resolved once at construction so parallel workers inherit the
-        #: same choice)
-        self.kernel_backend = resolve_backend_name(kernel_backend)
         self.mapper = LayerMapper(self.config)
 
     # ------------------------------------------------------------------ #
@@ -261,30 +255,15 @@ class FunctionalChainSimulator:
                       mapping: LayerMapping) -> FunctionalRunResult:
         """Whole-layer Winograd execution of already-validated tensors.
 
-        One transform-domain implementation serves every backend selection
-        (the hot per-group kernel still dispatches through
-        :mod:`repro.kernels`); the cross-checking ``both`` backend
-        additionally recomputes the layer on the numpy reference kernel and
-        requires bit-identity — the Winograd kernels are bit-identical to
-        each other on any input, and to the im2col golden on Q-format
+        One transform-domain implementation serves every backend
+        selection; it is bit-equal to the im2col golden on Q-format
         operands.
         """
         from repro.sim.winograd import winograd_ofmap_block
 
         ofmaps = np.zeros(layer.out_shape, dtype=np.float64)
         winograd_ofmap_block(layer, padded, weights, 0, layer.out_channels,
-                             ofmaps, kernel_backend=self.kernel_backend)
-        if self.backend == "both" and self.kernel_backend != "numpy":
-            reference = np.zeros(layer.out_shape, dtype=np.float64)
-            winograd_ofmap_block(layer, padded, weights, 0,
-                                 layer.out_channels, reference,
-                                 kernel_backend="numpy")
-            if not np.array_equal(ofmaps, reference):
-                raise SimulationError(
-                    f"{layer.name}: {self.kernel_backend} winograd kernel "
-                    f"diverges from the numpy reference (max abs difference "
-                    f"{float(np.max(np.abs(ofmaps - reference))):.3e})"
-                )
+                             ofmaps)
         return self._finalize(layer, ofmaps, self._winograd_stats(layer),
                               mapping)
 
@@ -429,7 +408,6 @@ class FunctionalChainSimulator:
                     "out": shared_out,
                     "m_start": m_start,
                     "m_stop": m_stop,
-                    "kernel_backend": self.kernel_backend,
                     "algorithm": algorithm,
                     "stripe_height": stripe_height,
                 }
@@ -452,7 +430,6 @@ class FunctionalChainSimulator:
         """One backend's simulation of an already-validated layer."""
         if backend == "vectorized":
             ofmaps = vectorized_layer_ofmaps(layer, padded, weights,
-                                             kernel_backend=self.kernel_backend,
                                              stripe_height=stripe_height)
             stats = self._closed_form_stats(layer, stripe_height)
         else:

@@ -41,7 +41,6 @@ import numpy as np
 
 from repro.cnn.layer import ConvLayer
 from repro.cnn.reference import strided_windows
-from repro.kernels import get_backend
 
 #: byte budget for one stripe's im2col slice; a stripe wider than this is
 #: lowered in row blocks (rows are independent, so values do not change)
@@ -269,25 +268,21 @@ def _coverage(geometry: tuple, height: int,
 
 def vectorized_layer_ofmaps(layer: ConvLayer, padded: np.ndarray,
                             weights: np.ndarray,
-                            kernel_backend: Optional[str] = None,
                             stripe_height: Optional[int] = None) -> np.ndarray:
     """Float64 ofmaps of the whole layer, one GEMM per group and stripe.
 
     ``padded`` is the zero-padded ``(C, Hp, Wp)`` float64 input, ``weights``
-    the ``(M, C/groups, K, K)`` float64 kernels.  ``kernel_backend`` selects
-    the :mod:`repro.kernels` backend (``None`` = the process default).
+    the ``(M, C/groups, K, K)`` float64 kernels.
     """
     ofmaps = np.zeros(layer.out_shape, dtype=np.float64)
     vectorized_ofmap_block(layer, padded, weights, 0, layer.out_channels,
-                           out=ofmaps, kernel_backend=kernel_backend,
-                           stripe_height=stripe_height)
+                           out=ofmaps, stripe_height=stripe_height)
     return ofmaps
 
 
 def vectorized_ofmap_block(layer: ConvLayer, padded: np.ndarray,
                            weights: np.ndarray, m_start: int, m_stop: int,
                            out: np.ndarray,
-                           kernel_backend: Optional[str] = None,
                            stripe_height: Optional[int] = None) -> None:
     """Compute ofmap channels ``[m_start, m_stop)`` into ``out``.
 
@@ -300,7 +295,6 @@ def vectorized_ofmap_block(layer: ConvLayer, padded: np.ndarray,
     channel range is bit-equal to the whole-layer result (see the module
     docstring).
     """
-    backend = get_backend(kernel_backend)
     k = layer.kernel_size
     out_w = layer.out_width
     in_per_group = layer.in_channels_per_group
@@ -331,8 +325,8 @@ def vectorized_ofmap_block(layer: ConvLayer, padded: np.ndarray,
                 # kernel matrix, columns the kept windows in row-major order
                 cols = windows[:, y0:y1].transpose(0, 3, 4, 1, 2).reshape(
                     taps, (y1 - y0) * out_w)
-                backend.ofmap_block_product(kernel_matrix, cols,
-                                            out[lo:hi, y0:y1])
+                out_block = out[lo:hi, y0:y1]
+                out_block += (kernel_matrix @ cols).reshape(out_block.shape)
 
 
 def ofmap_block_ranges(layer: ConvLayer, blocks: int) -> list:

@@ -208,7 +208,6 @@ class FunctionalNetworkRunner:
                  total_bits: int = 16, tolerance: float = 1e-6,
                  quantize_between_stages: bool = True,
                  workers: Optional[int] = None,
-                 kernel_backend: Optional[str] = None,
                  algorithm: str = "direct") -> None:
         if workers is not None and workers < 1:
             raise WorkloadError(f"workers must be >= 1, got {workers}")
@@ -217,10 +216,8 @@ class FunctionalNetworkRunner:
                 f"unknown algorithm {algorithm!r}; available: "
                 f"{', '.join(NETWORK_ALGORITHMS)}"
             )
-        self.simulator = FunctionalChainSimulator(config, backend=backend,
-                                                  kernel_backend=kernel_backend)
+        self.simulator = FunctionalChainSimulator(config, backend=backend)
         self.backend = backend
-        self.kernel_backend = self.simulator.kernel_backend
         self.seed = seed
         self.total_bits = total_bits
         self.tolerance = tolerance

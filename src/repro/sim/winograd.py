@@ -5,8 +5,7 @@ input tile ``d`` becomes ``V = B^T d B``, each 3x3 filter plane ``g``
 becomes the 4x4 plane ``U = G g G^T``, the per-tile product is the
 element-wise ``U (*) V`` accumulated over input channels, and the 2x2
 output tile is recovered as ``Y = A^T M A``.  The hot per-group kernel
-dispatches through :mod:`repro.kernels` (``winograd_group_conv``) so the
-numpy reference and the compiled numba backend share this decomposition.
+is :func:`winograd_group_conv`.
 
 **Exact on Q-format data.**  F(2x2,3x3) uses only the coefficients
 {0, ±1, ±1/2}: ``B`` and ``A`` are pure adds and ``G``'s halves are
@@ -25,8 +24,7 @@ operands the transforms reassociate the 3x3 reduction and results agree
 with the golden only to round-off of the accumulator scale;
 :func:`winograd_tolerance` — ``1e-6 * max(1, max|reference|)`` — is the
 documented bound for that mode.  Within the Winograd path itself
-determinism is strict on any input: the numpy and numba kernels are
-bit-identical to each other, and any partition of the ofmap channels
+determinism is strict on any input: any partition of the ofmap channels
 (serial, ``--workers N``) produces the same bits.
 """
 
@@ -45,12 +43,12 @@ from repro.analysis.winograd import (
 from repro.cnn.layer import ConvLayer
 from repro.cnn.reference import _check_shapes, pad_input
 from repro.errors import ConfigurationError
-from repro.kernels import get_backend
 
 __all__ = [
     "WINOGRAD_GROWTH_BITS",
     "conv2d_winograd",
     "transform_filters",
+    "winograd_group_conv",
     "winograd_ofmap_block",
     "winograd_tolerance",
     "winograd_eligible",
@@ -79,9 +77,9 @@ def winograd_tolerance(reference: np.ndarray) -> float:
 def transform_filters(weights: np.ndarray) -> np.ndarray:
     """``G g G^T`` for every 3x3 plane of ``weights`` (..., 3, 3) -> (..., 4, 4).
 
-    Computed once per layer in float64 and shared by every backend —
-    multiplications by G's 0.5 entries are exact (power-of-two scaling),
-    so the transformed planes are identical however they are consumed.
+    Computed once per layer in float64 — multiplications by G's 0.5
+    entries are exact (power-of-two scaling), so the transformed planes
+    are identical however they are consumed.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.shape[-2:] != (3, 3):
@@ -119,10 +117,70 @@ def _extend_group(padded_group: np.ndarray, rows_ext: int,
     return ext
 
 
+def winograd_group_conv(ext: np.ndarray, u: np.ndarray,
+                        out_block: np.ndarray) -> None:
+    """One group's Winograd F(2x2,3x3) convolution, vectorized.
+
+    ``ext`` is the group's ``(Cg, 2*th+2, 2*tw+2)`` float64 input plane,
+    zero-extended to the 4x4 tile grid; ``u`` the ``(Mb, Cg, 4, 4)`` float64
+    *transformed* filters (``G g G^T``, see :func:`transform_filters`);
+    ``out_block`` the ``(Mb, out_h, out_w)`` float64 ofmap block,
+    **assigned** (not accumulated).
+
+    On Q-format operands the result is bit-equal to the im2col golden (see
+    the module docstring); on unquantised floats the transforms
+    reassociate the 3x3 reduction and it is only tolerance-close.  It is
+    deterministic on any input: the input transform is explicit adds, the
+    transform-domain accumulation runs over input channels in ascending
+    order element by element, and the inverse transform uses a fixed
+    association, so any partition of the ofmap block (serial or parallel
+    workers) produces the same bits.
+    """
+    cg = ext.shape[0]
+    mb, out_h, out_w = out_block.shape
+    th = (ext.shape[1] - 2) // 2
+    tw = (ext.shape[2] - 2) // 2
+    tiles = th * tw
+    # 4x4 input tiles at stride 2: (Cg, th, tw, 4, 4)
+    d = np.lib.stride_tricks.sliding_window_view(
+        ext, (4, 4), axis=(1, 2))[:, ::2, ::2]
+    # input transform B^T d B — B has entries in {0, +-1}, so the transform
+    # is pure adds; rows first, then columns, association fixed so every
+    # block partition produces the same bits
+    n = np.empty((cg, th, tw, 4, 4), dtype=np.float64)
+    n[..., 0, :] = d[..., 0, :] - d[..., 2, :]
+    n[..., 1, :] = d[..., 1, :] + d[..., 2, :]
+    n[..., 2, :] = d[..., 2, :] - d[..., 1, :]
+    n[..., 3, :] = d[..., 1, :] - d[..., 3, :]
+    v = np.empty_like(n)
+    v[..., 0] = n[..., 0] - n[..., 2]
+    v[..., 1] = n[..., 1] + n[..., 2]
+    v[..., 2] = n[..., 2] - n[..., 1]
+    v[..., 3] = n[..., 1] - n[..., 3]
+    v2 = v.reshape(cg, tiles, 16)
+    u2 = np.ascontiguousarray(u, dtype=np.float64).reshape(mb, cg, 16)
+    # transform-domain Hadamard product, accumulated over input channels in
+    # ascending order (one rounded multiply + one rounded add per element
+    # per channel — the order every block partition reproduces)
+    m = np.zeros((mb, tiles, 16), dtype=np.float64)
+    for ci in range(cg):
+        m += u2[:, ci, :][:, None, :] * v2[ci]
+    # inverse transform A^T m A — again pure adds with fixed association
+    m4 = m.reshape(mb, tiles, 4, 4)
+    q = np.empty((mb, tiles, 2, 4), dtype=np.float64)
+    q[..., 0, :] = (m4[..., 0, :] + m4[..., 1, :]) + m4[..., 2, :]
+    q[..., 1, :] = (m4[..., 1, :] - m4[..., 2, :]) - m4[..., 3, :]
+    y = np.empty((mb, tiles, 2, 2), dtype=np.float64)
+    y[..., 0] = (q[..., 0] + q[..., 1]) + q[..., 2]
+    y[..., 1] = (q[..., 1] - q[..., 2]) - q[..., 3]
+    # scatter the 2x2 tiles back onto the ofmap grid and crop ragged edges
+    full = y.reshape(mb, th, tw, 2, 2).transpose(0, 1, 3, 2, 4)
+    out_block[:] = full.reshape(mb, 2 * th, 2 * tw)[:, :out_h, :out_w]
+
+
 def winograd_ofmap_block(layer: ConvLayer, padded: np.ndarray,
                          weights: np.ndarray, m_start: int, m_stop: int,
-                         out: np.ndarray,
-                         kernel_backend: Optional[str] = None) -> None:
+                         out: np.ndarray) -> None:
     """Compute ofmap channels ``[m_start, m_stop)`` via Winograd tiles.
 
     The Winograd counterpart of
@@ -137,7 +195,6 @@ def winograd_ofmap_block(layer: ConvLayer, padded: np.ndarray,
     tiles_h, tiles_w = winograd_tile_grid(layer)
     rows_ext = WINOGRAD_TILE_OUT * tiles_h + 2
     cols_ext = WINOGRAD_TILE_OUT * tiles_w + 2
-    backend = get_backend(kernel_backend)
     in_per_group = layer.in_channels_per_group
     out_per_group = layer.out_channels_per_group
     for group in range(layer.groups):
@@ -149,12 +206,12 @@ def winograd_ofmap_block(layer: ConvLayer, padded: np.ndarray,
         ext = _extend_group(padded[in_lo:in_lo + in_per_group],
                             rows_ext, cols_ext)
         u = transform_filters(weights[lo:hi])
-        backend.winograd_group_conv(ext, u, out[lo:hi])
+        winograd_group_conv(ext, u, out[lo:hi])
 
 
 def conv2d_winograd(layer: ConvLayer, ifmaps: np.ndarray,
-                    weights: np.ndarray, bias: Optional[np.ndarray] = None,
-                    kernel_backend: Optional[str] = None) -> np.ndarray:
+                    weights: np.ndarray,
+                    bias: Optional[np.ndarray] = None) -> np.ndarray:
     """Winograd F(2x2,3x3) formulation of the layer's convolution.
 
     Same signature and shapes as :func:`repro.cnn.reference.conv2d_im2col`
@@ -167,8 +224,7 @@ def conv2d_winograd(layer: ConvLayer, ifmaps: np.ndarray,
     padded = pad_input(np.asarray(ifmaps, dtype=np.float64), layer.padding)
     out = np.zeros((layer.out_channels, layer.out_height, layer.out_width),
                    dtype=np.float64)
-    winograd_ofmap_block(layer, padded, weights, 0, layer.out_channels, out,
-                         kernel_backend=kernel_backend)
+    winograd_ofmap_block(layer, padded, weights, 0, layer.out_channels, out)
     if bias is not None:
         out += np.asarray(bias, dtype=np.float64)[:, None, None]
     return out

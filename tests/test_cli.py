@@ -39,6 +39,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "voltage"])
 
+    def test_removed_backend_flag_is_a_usage_error(self, capsys):
+        """A stale ``--kernel-backend`` fails loudly with a usage error."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--kernel-backend", "numpy", "info"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro") and "repro: error:" in err
+
 
 class TestCommands:
     def test_info(self, capsys):
@@ -98,6 +106,13 @@ class TestCommands:
         assert main(["verify", "--sim", "functional", "--network", "lenet5"]) == 0
         out = capsys.readouterr().out
         assert "PASSED" in out and "[vectorized]" in out and "pool1" in out
+
+    def test_verify_negative_seed_is_a_one_line_user_error(self, capsys):
+        assert main(["verify", "--sim", "functional", "--network", "lenet5",
+                     "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "repro: error: seed must be >= 0, got -1\n"
 
     def test_verify_cycle_rejects_network_flag(self, capsys):
         assert main(["verify", "--network", "lenet5"]) == 2

@@ -144,18 +144,32 @@ class TestLazyRuntime:
         finally:
             owner.close()
 
-    def test_get_prewarms_kernel_backend_in_workers(self):
-        from repro.kernels import resolve_backend_name
+    def test_growing_a_live_pool_counts_a_replacement(self):
+        from repro.obs import trace as obs_trace
+        from repro.obs.metrics import REGISTRY
 
-        owner = LazyRuntime(2)
-        pool = owner.get()  # broadcasts kernels.configure on creation
+        owner = LazyRuntime()
+        pool = owner.get(workers=1)
         if pool is None:
             pytest.skip("platform cannot provide process pools")
+        counter = REGISTRY.counter("runtime.pool_replaced")
+        before = counter.value
+        recorder = obs_trace.enable(env=False)
         try:
-            results = pool.broadcast("kernels.configure", {"backend": None})
-            assert [entry["kernel_backend"] for entry in results] == \
-                [resolve_backend_name()] * 2
+            with pytest.warns(RuntimeWarning, match="replacing live 1-worker"):
+                grown = owner.get(workers=2)
+            assert grown is not pool and grown.workers == 2
+            assert counter.value == before + 1
+            instants = [event for event in recorder.events
+                        if event["ph"] == "i"
+                        and event["name"] == "runtime.pool_replaced"]
+            assert [event["args"]["reason"] for event in instants] == \
+                ["growing to 2 workers for this call"]
+            # a smaller later call reuses the grown pool: no replacement
+            assert owner.get(workers=1) is grown
+            assert counter.value == before + 1
         finally:
+            obs_trace.disable(env=False)
             owner.close()
 
     def test_task_hint_caps_creation_then_grows(self):

@@ -351,6 +351,18 @@ class TestServerBitIdentity:
         assert run_status == 400
         assert b"needs 121 PEs" in run_raw
 
+    def test_negative_verify_seed_is_a_client_error(self):
+        async def clients(server):
+            return await request_json(server.host, server.port, "/v1/verify",
+                                      {"network": "lenet5", "seed": -1})
+
+        status, raw = _serve(clients)
+        # the verify lane streams: the error arrives as the final event
+        assert status == 200
+        event = json.loads(raw.decode().splitlines()[-1])
+        assert event["event"] == "error" and event["status"] == 400
+        assert "seed must be >= 0, got -1" in event["error"]
+
     def test_empty_pareto_objectives_is_a_client_error(self):
         async def clients(server):
             return await request_json(

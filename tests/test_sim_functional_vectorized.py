@@ -25,7 +25,12 @@ from repro.cnn.generator import WorkloadGenerator
 from repro.cnn.layer import ConvLayer, PoolingLayer
 from repro.cnn.network import Network
 from repro.cnn.quantize import quantize_layer_tensors
-from repro.cnn.reference import conv2d_direct, conv2d_im2col, pad_input
+from repro.cnn.reference import (
+    conv2d_direct,
+    conv2d_im2col,
+    pad_input,
+    strided_windows,
+)
 from repro.cnn.zoo import NETWORKS, get_network, lenet5, tiny_test_network
 from repro.core.config import ChainConfig
 from repro.errors import (
@@ -435,3 +440,38 @@ class TestOfmapBlockSizing:
         )
         assert peak < ofmaps.nbytes + whole_im2col_bytes / 4
         assert np.array_equal(ofmaps, conv2d_im2col(layer, ifmaps, weights))
+
+
+class TestExactOnQFormat:
+    def test_gemm_matches_per_window_sums(self, rng):
+        """The GEMM equals per-window sums in any order on Q-format data.
+
+        Each (m, c, y, x) window sum is accumulated twice — forward and
+        reversed over the K*K taps — and both must equal the GEMM result
+        exactly: on Q-format operands float64 addition is exact.
+        """
+        layer = ConvLayer("k3s2p1", in_channels=2, out_channels=3,
+                          in_height=11, in_width=11, kernel_size=3, stride=2,
+                          padding=1)
+        ifmaps, weights, _, _ = quantize_layer_tensors(
+            rng.standard_normal(layer.in_shape),
+            rng.standard_normal((layer.out_channels,
+                                 layer.in_channels_per_group,
+                                 layer.kernel_size, layer.kernel_size)))
+        padded = pad_input(ifmaps, layer.padding)
+        got = vectorized_layer_ofmaps(layer, padded, weights)
+        kept = strided_windows(padded, layer.kernel_size, layer.stride,
+                               layer.out_height, layer.out_width)
+        forward = np.zeros(layer.out_shape)
+        backward = np.zeros(layer.out_shape)
+        for m in range(layer.out_channels):
+            for c in range(layer.in_channels):
+                for y in range(layer.out_height):
+                    for x in range(layer.out_width):
+                        product = (kept[c, y, x] * weights[m, c]).ravel()
+                        for value in product:
+                            forward[m, y, x] += value
+                        for value in product[::-1]:
+                            backward[m, y, x] += value
+        assert np.array_equal(got, forward)
+        assert np.array_equal(got, backward)

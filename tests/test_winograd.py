@@ -254,18 +254,6 @@ class TestFunctionalBackend:
                                          out=assembled)
                 assert np.array_equal(whole, assembled)
 
-    def test_kernel_backends_are_bit_identical(self, generator):
-        from repro.kernels import resolve_backend_name
-
-        layer = _eligible_layer(in_channels=6, out_channels=8, in_height=17,
-                                in_width=15)
-        ifmaps, weights = generator.layer_pair(layer)
-        reference = conv2d_winograd(layer, ifmaps, weights,
-                                    kernel_backend="numpy")
-        default = conv2d_winograd(layer, ifmaps, weights,
-                                  kernel_backend=resolve_backend_name(None))
-        assert np.array_equal(reference, default)
-
     def test_ineligible_layer_is_rejected(self, generator):
         strided = ConvLayer("s2", in_channels=3, out_channels=4, in_height=13,
                             in_width=13, kernel_size=3, stride=2, padding=1)
