@@ -31,11 +31,11 @@ from typing import Any, Dict, List, Optional
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: benchmark name -> higher-is-better fields guarded against regression.
-#: Only same-machine ratios belong here: a field like the parallel bench's
-#: ``verify_best_speedup`` tracks the runner's *core count*, so comparing it
+#: Only same-machine ratios belong here: the parallel bench's serial vs
+#: parallel timings track the runner's *core count*, so comparing them
 #: against a baseline committed from a different machine would fail CI for
-#: lacking hardware (the parallel bench asserts its own bit-identity and
-#: core-gated speedup floors instead).
+#: lacking hardware (the parallel bench asserts its own bit-identity
+#: instead).
 WATCHED_FIELDS: Dict[str, List[str]] = {
     # the whole-array Pareto frontier runs ~40x the per-survivor loop it
     # replaced, so a return to that loop falls below the collapse floor

@@ -20,7 +20,9 @@ writing any Python:
 * ``verify``      — cross-check the cycle-accurate simulator's backends on
   small layers (``--sim cycle``), or run whole-network functional dataflow
   verification (``--sim functional [--network alexnet]``) through the
-  vectorized window-enumeration backend;
+  vectorized window-enumeration backend: serial, on 16-bit Q-format
+  operands, every layer's accumulator bound checked, passing iff every
+  layer's max|err| is exactly 0;
 * ``map``         — search the per-layer mapping space (primitive partition,
   stripe height, kernel chunking, batch interleave) for a latency /
   throughput / EDP / energy objective with ``--strategy
@@ -53,10 +55,10 @@ layers, ``auto`` lets the mapping search pick direct vs Winograd per layer
 under the never-worse guarantee.
 
 Every command takes ``--pes`` and ``--frequency-mhz`` so non-paper
-instantiations can be explored from the shell; ``run``/``sweep``/``map``/
-``verify`` additionally take ``--workers`` to fan work over the persistent
-shared-memory parallel runtime (:mod:`repro.runtime`) with bit-identical
-results.  The supervised runtime's fault-tolerance knobs are global too:
+instantiations can be explored from the shell; ``sweep`` and ``map``
+additionally take ``--workers`` to fan work over the persistent process-pool
+runtime (:mod:`repro.runtime`) with bit-identical results.  The supervised
+runtime's fault-tolerance knobs are global too:
 ``--task-deadline`` / ``--task-retries`` set the hang deadline and retry
 budget (exported as ``$REPRO_TASK_DEADLINE`` / ``$REPRO_TASK_RETRIES`` so
 workers spawned anywhere downstream inherit them), and cache-carrying
@@ -181,14 +183,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(f"error: --mode {args.mode} conflicts with --engine {args.engine}",
                   file=sys.stderr)
             return 2
-    if args.workers is not None:
-        # only the functional simulator decomposes a single evaluation into
-        # parallel ofmap-block tasks; other engines evaluate one closed form
-        if args.engine != "functional-vectorized":
-            print("error: --workers applies to --engine functional-vectorized "
-                  f"only, not {args.engine}", file=sys.stderr)
-            return 2
-        engine_kwargs["workers"] = args.workers
     if args.algorithm != "direct":
         # the algorithm axis exists where convolutions are actually executed
         # or mapped; the closed-form analytical engines model direct only
@@ -440,11 +434,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.algorithm != "direct":
         print("error: --algorithm applies to --sim functional only (the "
               "cycle simulator executes the direct dataflow)", file=sys.stderr)
-        return 2
-    if args.workers is not None:
-        print("error: --workers applies to --sim functional only (the cycle "
-              "cross-check runs tiny layers where fan-out cannot pay off)",
-              file=sys.stderr)
         return 2
     if args.network != "tiny":
         print("error: --network applies to --sim functional only (the scalar "
@@ -742,15 +731,9 @@ def _verify_functional(args: argparse.Namespace) -> int:
     network = (tiny_test_network() if args.network == "tiny"
                else get_network(args.network))
     backend = args.backend or ("both" if args.network == "tiny" else "vectorized")
-    if args.workers is not None and backend != "vectorized":
-        print(f"error: --workers requires the vectorized backend, not {backend}",
-              file=sys.stderr)
-        return 2
-    with FunctionalNetworkRunner(
-        _config_from_args(args), backend=backend, seed=args.seed,
-        workers=args.workers, algorithm=args.algorithm,
-    ) as runner:
-        result = runner.run(network)
+    runner = FunctionalNetworkRunner(_config_from_args(args), backend=backend,
+                                     seed=args.seed, algorithm=args.algorithm)
+    result = runner.run(network)
     print(result.describe())
     return 0 if result.passed else 1
 
@@ -800,9 +783,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="execution engine to dispatch through")
     run.add_argument("--json", action="store_true", help="emit the run record as JSON")
     run.add_argument("--traffic", action="store_true", help="also print the traffic table")
-    run.add_argument("--workers", type=_positive_int, default=None,
-                     help="worker processes for the functional-vectorized "
-                          "engine's per-layer ofmap blocks (default: serial)")
     run.add_argument("--algorithm", choices=ALGORITHM_MODES, default="direct",
                      help="conv execution algorithm: winograd/auto run "
                           "eligible 3x3-stride-1 layers in the transform "
@@ -962,15 +942,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="simulator backend (default: cross-check both; "
                              "functional verification of zoo networks defaults "
                              "to the vectorized fast path)")
-    verify.add_argument("--workers", type=_positive_int, default=None,
-                        help="worker processes for --sim functional ofmap "
-                             "blocks (bit-identical to the serial path)")
     verify.add_argument("--algorithm", choices=ALGORITHM_MODES,
                         default="direct",
                         help="run eligible 3x3-stride-1 layers through the "
                              "Winograd F(2x2,3x3) transform domain "
-                             "(--sim functional; checked against the im2col "
-                             "golden within the documented tolerance)")
+                             "(--sim functional; must be bit-equal to the "
+                             "im2col golden, like the direct dataflow)")
 
     bench = sub.add_parser(
         "bench",
@@ -997,9 +974,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 "first sweep request of a batch waits for "
                                 "compatible company (default: 4 ms)")
     serve_cmd.add_argument("--workers", type=_positive_int, default=None,
-                           help="default worker processes for map/verify "
-                                "requests that do not set their own "
-                                "(default: serial, like the CLI)")
+                           help="default worker processes for map requests "
+                                "that do not set their own (default: "
+                                "serial, like the CLI)")
     serve_cmd.add_argument("--cache-dir", default=None, metavar="DIR",
                            help="shared RunCache for mapping searches "
                                 f"(${CACHE_DIR_ENV} enables the default "

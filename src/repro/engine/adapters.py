@@ -46,6 +46,7 @@ from repro.engine.cache import canonical_json, config_fingerprint, workload_fing
 from repro.engine.registry import register_engine
 from repro.sim.cycle import CycleAccurateChainSimulator
 from repro.sim.functional import FunctionalChainSimulator
+from repro.sim.network import DATAPATH_BITS, check_accumulator_bits
 
 
 def worst_case_utilization(config: ChainConfig) -> float:
@@ -372,8 +373,9 @@ class FunctionalEngine(Engine):
     registered as ``functional``), the per-stripe GEMM fast path
     (``functional-vectorized``) or the cross-checking ``both`` mode mirroring
     the cycle simulator.  Operands are quantised to the 16-bit Q-format the
-    chain's MACs carry, so every backend, worker count and algorithm is
-    exact (``max_abs_error`` 0) and the backends agree bit for bit.
+    chain's MACs carry and every layer's accumulator bound is checked, so
+    every backend and algorithm is exact (``max_abs_error`` 0) and the
+    backends agree bit for bit.
     """
 
     #: bumped when the simulated numbers change for the same inputs
@@ -381,7 +383,6 @@ class FunctionalEngine(Engine):
     VERSION = 2
 
     def __init__(self, seed: int = 2017, backend: str = "scalar",
-                 workers: Optional[int] = None,
                  algorithm: str = "direct") -> None:
         self.seed = seed
         self.backend = backend
@@ -391,19 +392,6 @@ class FunctionalEngine(Engine):
         self.algorithm = algorithm
         self.name = "functional" if backend == "scalar" else f"functional-{backend}"
         self._memo: Dict[str, Dict[str, Any]] = {}
-        #: fan ofmap blocks over this many workers (vectorized backend only);
-        #: results are bit-equal serial or parallel (Q-format operands), so
-        #: the worker count deliberately stays out of the engine fingerprint
-        self.workers = workers
-        from repro.runtime import shared_runtime
-
-        self._pool = shared_runtime()
-
-    def _runtime(self):
-        """The engine's persistent pool, or ``None`` for the serial path."""
-        if self.workers is None or self.workers <= 1 or self.backend != "vectorized":
-            return None
-        return self._pool.get(workers=self.workers)
 
     def _simulate(self, network: Network, config: ChainConfig) -> Dict[str, Any]:
         memo_key = canonical_json({
@@ -414,14 +402,13 @@ class FunctionalEngine(Engine):
             return self._memo[memo_key]
         simulator = FunctionalChainSimulator(config, backend=self.backend)
         generator = WorkloadGenerator(seed=self.seed)
-        runtime = self._runtime()
         layers: Dict[str, Dict[str, float]] = {}
         chain_cycles = 0.0
         windows_kept = 0
         max_error = 0.0
         for layer in network.conv_layers:
             ifmaps, weights, _, _ = quantize_layer_tensors(
-                *generator.layer_pair(layer))
+                *generator.layer_pair(layer), total_bits=DATAPATH_BITS)
             algorithm = "direct"
             if self.algorithm != "direct":
                 # lazy: repro.analysis closes an import cycle back into this
@@ -430,13 +417,9 @@ class FunctionalEngine(Engine):
 
                 if winograd_eligible(layer):
                     algorithm = "winograd"
-            if runtime is not None:
-                result = simulator.run_layer_parallel(layer, ifmaps, weights,
-                                                      runtime,
-                                                      algorithm=algorithm)
-            else:
-                result = simulator.run_layer(layer, ifmaps, weights,
-                                             algorithm=algorithm)
+            check_accumulator_bits(layer, DATAPATH_BITS, algorithm)
+            result = simulator.run_layer(layer, ifmaps, weights,
+                                         algorithm=algorithm)
             error = result.max_abs_error_vs_reference(ifmaps, weights)
             chain_cycles += result.chain_cycles_estimate
             windows_kept += result.stats.windows_kept

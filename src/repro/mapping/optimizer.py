@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -49,8 +49,6 @@ from repro.engine.cache import (
     workload_fingerprint,
 )
 from repro.errors import ConfigurationError
-from repro.analysis.winograd import winograd_tile_grid
-from repro.cnn.reference import conv2d_im2col, pad_input
 from repro.mapping.mapspace import (
     ALGORITHM_MODES,
     CandidateTable,
@@ -63,7 +61,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime import WorkerError, shared_runtime
 from repro.sim.functional import FunctionalChainSimulator
-from repro.sim.winograd import conv2d_winograd, winograd_ofmap_block
+from repro.sim.network import DATAPATH_BITS, check_accumulator_bits
 
 # parent-side search counters: candidates_searched aggregates the per-layer
 # evaluation counts from the entry results, so it is correct whether layers
@@ -318,23 +316,19 @@ class OptimizedSchedule:
 class LayerVerification:
     """Functional verification of one searched layer mapping.
 
-    For direct mappings ``bit_identical`` compares against the baseline-
-    stripe simulation; for Winograd mappings it compares the whole-ofmap
-    transform-domain result against an ofmap-channel block partition (the
-    parallel runtime's bit-identity ladder).  ``tolerance`` overrides the
-    network-wide golden tolerance when set — Winograd entries carry 0: on
-    the Q-format operands verification uses, the F(2x2,3x3) transforms are
-    exact.
+    ``bit_identical`` compares the searched mapping's ofmaps (direct at the
+    searched stripe height, or Winograd) against the direct full-stripe
+    simulation of the same layer.  On the Q-format operands verification
+    uses both are exact, so any difference is a defect.
     """
 
     layer_name: str
     candidate: MappingCandidate
     max_abs_error: float          # vs the im2col golden reference
-    bit_identical: bool           # vs the baseline-stripe simulation
+    bit_identical: bool           # vs the direct full-stripe simulation
     windows_kept: int
     seconds: float
     covers: Tuple[str, ...] = ()  # geometry-identical layers this result covers
-    tolerance: Optional[float] = None  # per-entry golden bound override
 
     def describe(self) -> str:
         """One verification line."""
@@ -351,7 +345,6 @@ class MappingVerification:
 
     network_name: str
     seed: int
-    tolerance: float
     layers: List[LayerVerification] = field(default_factory=list)
 
     @property
@@ -361,12 +354,9 @@ class MappingVerification:
 
     @property
     def passed(self) -> bool:
-        """True when every mapping is golden-close and baseline-bit-identical."""
-        return all(
-            entry.bit_identical and entry.max_abs_error
-            <= (entry.tolerance if entry.tolerance is not None else self.tolerance)
-            for entry in self.layers
-        )
+        """True when every mapping is golden- and baseline-bit-identical."""
+        return all(entry.bit_identical and entry.max_abs_error == 0.0
+                   for entry in self.layers)
 
     def describe(self) -> str:
         """Multi-line verification report."""
@@ -375,7 +365,7 @@ class MappingVerification:
         lines.append(
             f"mapping verification {verdict}: {len(self.layers)} distinct "
             f"mappings, max|err|={self.max_abs_error:.2e} "
-            f"(tolerance {self.tolerance:.0e})"
+            f"(exact on {DATAPATH_BITS}-bit Q-format)"
         )
         return "\n".join(lines)
 
@@ -606,83 +596,55 @@ class ScheduleOptimizer:
     # verification
     # ------------------------------------------------------------------ #
     def verify(self, network: Network, schedule: OptimizedSchedule,
-               seed: int = 2017, tolerance: float = 1e-9,
+               seed: int = 2017,
                deduplicate: bool = True) -> MappingVerification:
         """Functionally verify every searched mapping of ``schedule``.
 
-        Each distinct (layer geometry, stripe height) pair drives the
-        vectorized :class:`FunctionalChainSimulator` on seeded tensors
-        quantised to the chain's 16-bit Q-format, on which every summation
-        order is exact; the ofmaps must match the im2col golden reference
-        within ``tolerance`` and be **bit-identical** to the baseline
-        full-stripe simulation.  A searched stripe height equal to the
-        baseline's runs the identical stripe plan, so the bit-identity
-        re-simulation only happens for genuinely re-striped layers.
-
-        Winograd mappings run :func:`repro.sim.winograd.conv2d_winograd`
-        instead: the golden bound is 0 (the transforms are exact on
-        Q-format operands) and the bit-identity check partitions the ofmap
-        channels into two blocks — the invariant the parallel runtime
-        relies on.
+        Each distinct (layer geometry, stripe height, algorithm) triple
+        drives the vectorized :class:`FunctionalChainSimulator` on seeded
+        tensors quantised to the chain's 16-bit Q-format, after checking the
+        layer's accumulator bound, so every summation order is exact.  The
+        ofmaps must equal the im2col golden reference and be
+        **bit-identical** to the direct full-stripe simulation.  A direct
+        mapping at the full stripe height *is* that simulation, so the
+        bit-identity re-simulation only happens for re-striped or Winograd
+        mappings.
         """
-        outcome = MappingVerification(network_name=network.name, seed=seed,
-                                      tolerance=tolerance)
+        outcome = MappingVerification(network_name=network.name, seed=seed)
         parent = WorkloadGenerator(seed=seed)
         simulator = FunctionalChainSimulator(self.config, backend="vectorized")
         verified: Dict[Tuple, int] = {}
         covers: Dict[int, List[str]] = {}
         for layer in network.conv_layers:
-            entry = schedule.layer_schedule(layer.name)
-            height = entry.candidate.stripe_height
+            candidate = schedule.layer_schedule(layer.name).candidate
+            height = candidate.stripe_height
             geometry = tuple(sorted(
                 (name, value) for name, value in asdict(layer).items()
                 if name != "name"
             ))
-            key = (geometry, height, entry.candidate.algorithm)
+            key = (geometry, height, candidate.algorithm)
             if deduplicate and key in verified:
                 covers[verified[key]].append(layer.name)
                 continue
+            check_accumulator_bits(layer, DATAPATH_BITS, candidate.algorithm)
             generator = parent.spawn(layer.name)
             ifmaps, weights, _, _ = quantize_layer_tensors(
-                *generator.layer_pair(layer))
+                *generator.layer_pair(layer), total_bits=DATAPATH_BITS)
             started = time.perf_counter()
-            if entry.candidate.is_winograd:
-                reference = conv2d_im2col(layer, ifmaps, weights)
-                ofmaps = conv2d_winograd(layer, ifmaps, weights)
-                error = float(np.max(np.abs(ofmaps - reference)))
-                padded = pad_input(np.asarray(ifmaps, dtype=np.float64),
-                                   layer.padding)
-                split = np.zeros_like(ofmaps)
-                half = max(1, layer.out_channels // 2)
-                winograd_ofmap_block(layer, padded, weights, 0, half, split)
-                winograd_ofmap_block(layer, padded, weights, half,
-                                     layer.out_channels, split)
-                identical = bool(np.array_equal(ofmaps, split))
-                tiles_h, tiles_w = winograd_tile_grid(layer)
-                verified[key] = len(outcome.layers)
-                covers[verified[key]] = []
-                outcome.layers.append(LayerVerification(
-                    layer_name=layer.name,
-                    candidate=entry.candidate,
-                    max_abs_error=error,
-                    bit_identical=identical,
-                    windows_kept=tiles_h * tiles_w * layer.out_channels,
-                    seconds=time.perf_counter() - started,
-                    tolerance=0.0,
-                ))
-                continue
-            run = simulator.run_layer(layer, ifmaps, weights, stripe_height=height)
+            run = simulator.run_layer(layer, ifmaps, weights,
+                                      stripe_height=height,
+                                      algorithm=candidate.algorithm)
             error = run.max_abs_error_vs_reference(ifmaps, weights)
-            if height == layer.kernel_size:
-                identical = True
-            else:
+            if candidate.is_winograd or height != layer.kernel_size:
                 base = simulator.run_layer(layer, ifmaps, weights)
                 identical = bool(np.array_equal(run.ofmaps, base.ofmaps))
+            else:
+                identical = True
             verified[key] = len(outcome.layers)
             covers[verified[key]] = []
             outcome.layers.append(LayerVerification(
                 layer_name=layer.name,
-                candidate=entry.candidate,
+                candidate=candidate,
                 max_abs_error=error,
                 bit_identical=identical,
                 windows_kept=run.stats.windows_kept,
@@ -690,16 +652,7 @@ class ScheduleOptimizer:
             ))
         # attach the geometry-identical layers each verification covers
         outcome.layers = [
-            LayerVerification(
-                layer_name=entry.layer_name,
-                candidate=entry.candidate,
-                max_abs_error=entry.max_abs_error,
-                bit_identical=entry.bit_identical,
-                windows_kept=entry.windows_kept,
-                seconds=entry.seconds,
-                covers=tuple(covers.get(index, ())),
-                tolerance=entry.tolerance,
-            )
+            replace(entry, covers=tuple(covers.get(index, ())))
             for index, entry in enumerate(outcome.layers)
         ]
         return outcome

@@ -1,7 +1,7 @@
-"""Persistent shared-memory parallel runtime.
+"""Persistent process-pool parallel runtime.
 
-``repro.runtime`` is the process-level parallel substrate the evaluate /
-search / verify pipeline runs on:
+``repro.runtime`` is the process-level parallel substrate axis sweeps and
+the mapping search fan out over:
 
 * :class:`~repro.runtime.pool.ParallelRuntime` — persistent worker
   processes with per-worker task queues, ordered result assembly, error
@@ -15,15 +15,11 @@ search / verify pipeline runs on:
 * :mod:`~repro.runtime.faults` — deterministic, seeded fault injection
   (``$REPRO_FAULT_SPEC``) consulted by workers at task boundaries, so the
   recovery machinery is reproducibly testable;
-* :class:`~repro.runtime.shm.SharedTensor` — zero-copy shared-memory NumPy
-  tensors (with an inline-pickle fallback), so multi-hundred-MB ifmap /
-  weight / ofmap tensors never cross the process boundary through pickle;
 * :mod:`~repro.runtime.tasks` — the registry of worker-side task functions
-  (sweep point evaluation, per-layer mapping search, ofmap-block
-  simulation), each reusing per-worker cached engines and networks.
+  (sweep point evaluation, per-layer mapping search), each reusing
+  per-worker cached engines and networks.
 
-Consumers (``SweepExecutor``, ``ScheduleOptimizer``,
-``FunctionalNetworkRunner``) guarantee **bit-identical results** between
+Consumers (``SweepExecutor``, ``ScheduleOptimizer``) guarantee **bit-identical results** between
 their serial and parallel paths; the runtime only changes wall-clock time —
 even when workers crash or hang mid-run.
 """
@@ -41,7 +37,6 @@ from repro.runtime.pool import (
     resolve_workers,
     shared_runtime,
 )
-from repro.runtime.shm import SharedTensor
 from repro.runtime.supervisor import (
     RetryPolicy,
     SupervisedRuntime,
@@ -59,7 +54,6 @@ __all__ = [
     "ParallelRuntime",
     "shared_runtime",
     "RetryPolicy",
-    "SharedTensor",
     "SupervisedRuntime",
     "SupervisionStats",
     "TASKS",

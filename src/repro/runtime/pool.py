@@ -3,8 +3,7 @@
 ``ProcessPoolExecutor`` pays its construction cost on every sweep call and
 re-pickles every payload from scratch; :class:`ParallelRuntime` instead keeps
 **persistent workers** alive across calls, so per-worker state (engines,
-simulators, broadcast networks) is built once and reused, and large tensors
-travel through :mod:`repro.runtime.shm` instead of pickle.
+simulators, broadcast networks) is built once and reused.
 
 Design points:
 

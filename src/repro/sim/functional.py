@@ -17,14 +17,15 @@ Two backends share one result contract (mirroring the cycle simulator):
 * ``both`` — run both and raise :class:`~repro.errors.SimulationError` on
   any divergence (the cross-check mode ``repro verify`` uses).
 
-**Exact on Q-format data.**  The ofmaps are bit-equal across backends, ofmap
-block partitions, stripe heights and the im2col golden whenever the
-operands are fixed-point (Q-format) values whose partial sums fit float64's
-53-bit significand — the case the network runner checks per layer
-(:func:`repro.sim.network.accumulator_bits`).  Then every float64 addition
-is exact and summation order cannot matter.  On unquantised floats the
-paths agree to round-off only.  Independently of values, every direct run
-first proves the stripe plan's MAC coverage on index sets
+**Contract: exact on Q-format data.**  Functional verification feeds the
+simulator fixed-point (Q-format) operands whose partial sums fit float64's
+53-bit significand, a bound checked per layer
+(:func:`repro.sim.network.check_accumulator_bits`).  Then every float64
+addition is exact and summation order cannot matter: the ofmaps are
+bit-equal across backends, stripe heights, algorithms and the im2col
+golden, and a layer passes iff max|err| == 0 (:meth:`FunctionalChainSimulator.
+run_and_check`).  Independently of values, every direct run first proves
+the stripe plan's MAC coverage on index sets
 (:func:`~repro.sim.functional_vectorized.stripe_coverage`).
 
 Strided layers use the stream-everything-discard policy discussed in
@@ -164,7 +165,7 @@ class FunctionalChainSimulator:
         stats.pairs_processed += 1
 
     # ------------------------------------------------------------------ #
-    # shared plumbing (serial and parallel paths must stay identical)
+    # shared plumbing
     # ------------------------------------------------------------------ #
     @staticmethod
     def _validate_tensors(layer: ConvLayer, ifmaps: np.ndarray,
@@ -251,7 +252,7 @@ class FunctionalChainSimulator:
         )
 
     def _run_winograd(self, layer: ConvLayer,
-                      padded: np.ndarray, weights: np.ndarray,
+                      ifmaps: np.ndarray, weights: np.ndarray,
                       mapping: LayerMapping) -> FunctionalRunResult:
         """Whole-layer Winograd execution of already-validated tensors.
 
@@ -259,13 +260,10 @@ class FunctionalChainSimulator:
         selection; it is bit-equal to the im2col golden on Q-format
         operands.
         """
-        from repro.sim.winograd import winograd_ofmap_block
+        from repro.sim.winograd import conv2d_winograd
 
-        ofmaps = np.zeros(layer.out_shape, dtype=np.float64)
-        winograd_ofmap_block(layer, padded, weights, 0, layer.out_channels,
-                             ofmaps)
-        return self._finalize(layer, ofmaps, self._winograd_stats(layer),
-                              mapping)
+        return self._finalize(layer, conv2d_winograd(layer, ifmaps, weights),
+                              self._winograd_stats(layer), mapping)
 
     @staticmethod
     def _finalize(layer: ConvLayer, ofmaps: np.ndarray,
@@ -309,11 +307,9 @@ class FunctionalChainSimulator:
         :class:`~repro.errors.SimulationError`.
 
         ``algorithm="winograd"`` executes the F(2x2,3x3) transform-domain
-        mode instead (3x3 stride-1 layers only): bit-equal to the im2col
-        golden on Q-format operands, within
-        :func:`repro.sim.winograd.winograd_tolerance` on unquantised floats;
-        the stripe-height knob does not apply (the 4x4 tile grid fixes the
-        stripe plan).
+        mode instead (3x3 stride-1 layers only), bit-equal to the im2col
+        golden on Q-format operands; the stripe-height knob does not apply
+        (the 4x4 tile grid fixes the stripe plan).
         """
         if algorithm not in SIM_ALGORITHMS:
             raise ConfigurationError(
@@ -323,11 +319,10 @@ class FunctionalChainSimulator:
         ifmaps, weights, stripe_height = self._validate_tensors(
             layer, ifmaps, weights, stripe_height)
         mapping = self.mapper.map_layer(layer)
-        padded = pad_input(ifmaps, layer.padding)
-
         if algorithm == "winograd":
-            return self._run_winograd(layer, padded, weights, mapping)
+            return self._run_winograd(layer, ifmaps, weights, mapping)
         self._check_coverage(layer, stripe_height, mapping)
+        padded = pad_input(ifmaps, layer.padding)
         if self.backend == "both":
             scalar = self._run_backend("scalar", layer, padded, weights, mapping,
                                        stripe_height)
@@ -347,82 +342,6 @@ class FunctionalChainSimulator:
             return result
         return self._run_backend(self.backend, layer, padded, weights, mapping,
                                  stripe_height)
-
-    def run_layer_parallel(self, layer: ConvLayer, ifmaps: np.ndarray,
-                           weights: np.ndarray, runtime,
-                           stripe_height: Optional[int] = None,
-                           algorithm: str = "direct") -> FunctionalRunResult:
-        """Simulate one layer with ofmap blocks fanned over ``runtime``.
-
-        Requires the vectorized backend: every ofmap channel is an
-        independent row of the per-stripe GEMMs, so the padded ifmaps and
-        weights ship to the persistent workers once through shared memory,
-        each worker writes its channel block into a shared assembly buffer,
-        and the dataflow counters come from the same closed forms the
-        vectorized backend uses — on Q-format operands ofmaps *and* stats
-        are bit-equal to :meth:`run_layer`.  The Winograd algorithm keeps
-        the same decomposition (its transform-domain accumulation is also
-        per-ofmap-channel independent), so the partition invariant holds for
-        both algorithms.
-        """
-        from repro.runtime import SharedTensor
-        from repro.sim.functional_vectorized import ofmap_block_ranges
-
-        if self.backend != "vectorized":
-            raise ConfigurationError(
-                f"run_layer_parallel requires the vectorized backend, "
-                f"not {self.backend!r}"
-            )
-        if algorithm not in SIM_ALGORITHMS:
-            raise ConfigurationError(
-                f"unknown algorithm {algorithm!r}; "
-                f"available: {', '.join(SIM_ALGORITHMS)}"
-            )
-        ifmaps, weights, stripe_height = self._validate_tensors(
-            layer, ifmaps, weights, stripe_height)
-        mapping = self.mapper.map_layer(layer)
-        padded = pad_input(ifmaps, layer.padding)
-        if algorithm != "winograd":
-            self._check_coverage(layer, stripe_height, mapping)
-
-        handles = []
-        try:
-            shared_out = SharedTensor.zeros(layer.out_shape)
-            handles.append(shared_out)
-            if shared_out.name is None:
-                # inline fallback: workers would write their blocks into
-                # private pickled copies and the parent would read back
-                # zeros — run the (bit-identical) serial path instead
-                return self.run_layer(layer, ifmaps, weights,
-                                      stripe_height=stripe_height,
-                                      algorithm=algorithm)
-            shared_padded = SharedTensor.create(padded)
-            handles.append(shared_padded)
-            shared_weights = SharedTensor.create(weights)
-            handles.append(shared_weights)
-            runtime.map("verify.sim_block", [
-                {
-                    "layer": layer,
-                    "padded": shared_padded,
-                    "weights": shared_weights,
-                    "out": shared_out,
-                    "m_start": m_start,
-                    "m_stop": m_stop,
-                    "algorithm": algorithm,
-                    "stripe_height": stripe_height,
-                }
-                for m_start, m_stop in ofmap_block_ranges(layer, runtime.workers)
-            ])
-            ofmaps = np.array(shared_out.open(), copy=True)
-        finally:
-            for handle in handles:
-                handle.unlink()
-
-        if algorithm == "winograd":
-            stats = self._winograd_stats(layer)
-        else:
-            stats = self._closed_form_stats(layer, stripe_height)
-        return self._finalize(layer, ofmaps, stats, mapping)
 
     def _run_backend(self, backend: str, layer: ConvLayer, padded: np.ndarray,
                      weights: np.ndarray, mapping: LayerMapping,
@@ -454,22 +373,18 @@ class FunctionalChainSimulator:
         return self._finalize(layer, ofmaps, stats, mapping)
 
     def run_and_check(self, layer: ConvLayer, ifmaps: np.ndarray, weights: np.ndarray,
-                      tolerance: float = 1e-9,
                       algorithm: str = "direct") -> Dict[str, float]:
-        """Run the simulation and compare against the reference convolution.
+        """Run the simulation and require bit-equality with the reference.
 
-        On Q-format operands both algorithms are exact and ``tolerance=0``
-        holds.  Winograd runs on unquantised floats should pass the
-        documented :func:`repro.sim.winograd.winograd_tolerance` bound (the
-        transforms reassociate the reduction, so the direct float round-off
-        default is not the right contract there).
+        The operands must be Q-format values (see the module docstring), on
+        which both algorithms are exact: any nonzero error is a defect.
         """
         result = self.run_layer(layer, ifmaps, weights, algorithm=algorithm)
         error = result.max_abs_error_vs_reference(ifmaps, weights)
-        if error > tolerance:
+        if error != 0.0:
             raise SimulationError(
                 f"{layer.name}: functional simulation deviates from reference "
-                f"(max abs error {error:.3e} > {tolerance:.3e})"
+                f"(max abs error {error:.3e}, expected exact)"
             )
         return {
             "max_abs_error": error,

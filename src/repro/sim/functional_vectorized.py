@@ -15,13 +15,12 @@ GEMM per stripe:
   im2col slice with :func:`~repro.cnn.reference.strided_windows` and
   ``W_group @ cols`` is *added* into those rows.  A row the plan skips stays
   0 and a row it repeats doubles, so the golden compare sees a broken plan.
-* **Exact on Q-format data.**  On the quantised operands the network runner
-  feeds it, every product is an integer multiple of one power of two and
-  every partial sum stays below 2**53 (the bound
-  :func:`repro.sim.network.accumulator_bits` checks per layer), so float64
-  addition is exact in *any* order: the GEMM, the scalar per-window walk and
-  the im2col golden are bit-equal, and so is every partition of the ofmap
-  channels (``--workers``).  On unquantised floats they agree to round-off.
+* **Exact on Q-format data.**  On the quantised operands functional
+  verification feeds it, every product is an integer multiple of one power
+  of two and every partial sum stays below 2**53 (the bound
+  :func:`repro.sim.network.check_accumulator_bits` checks per layer), so
+  float64 addition is exact in *any* order: the GEMM, the scalar per-window
+  walk and the im2col golden are bit-equal.
 * **Coverage.**  :func:`stripe_coverage` proves on index sets, not values,
   that the plan visits every ofmap pixel exactly once at input origin
   ``(y*s, x*s)`` with all ``K^2`` taps, and every (m, c) pair once.
@@ -272,49 +271,23 @@ def vectorized_layer_ofmaps(layer: ConvLayer, padded: np.ndarray,
     """Float64 ofmaps of the whole layer, one GEMM per group and stripe.
 
     ``padded`` is the zero-padded ``(C, Hp, Wp)`` float64 input, ``weights``
-    the ``(M, C/groups, K, K)`` float64 kernels.
-    """
-    ofmaps = np.zeros(layer.out_shape, dtype=np.float64)
-    vectorized_ofmap_block(layer, padded, weights, 0, layer.out_channels,
-                           out=ofmaps, stripe_height=stripe_height)
-    return ofmaps
-
-
-def vectorized_ofmap_block(layer: ConvLayer, padded: np.ndarray,
-                           weights: np.ndarray, m_start: int, m_stop: int,
-                           out: np.ndarray,
-                           stripe_height: Optional[int] = None) -> None:
-    """Compute ofmap channels ``[m_start, m_stop)`` into ``out``.
-
-    For each group and each stripe of :func:`stripe_plan`, the stripe's
-    kept ofmap rows are lowered to an im2col slice and
-    ``W_group[m_start:m_stop] @ cols`` is added into them.  ``out`` must be
-    the full ``layer.out_shape`` float64 tensor (a shared-memory assembly
-    buffer in the parallel path), zero on entry; only ``[m_start, m_stop)``
-    planes are written.  On Q-format operands every partition of the
-    channel range is bit-equal to the whole-layer result (see the module
-    docstring).
+    the ``(M, C/groups, K, K)`` float64 kernels.  For each group and each
+    stripe of :func:`stripe_plan`, the stripe's kept ofmap rows are lowered
+    to an im2col slice and ``W_group @ cols`` is added into them.
     """
     k = layer.kernel_size
     out_w = layer.out_width
     in_per_group = layer.in_channels_per_group
     out_per_group = layer.out_channels_per_group
-    if not (0 <= m_start <= m_stop <= layer.out_channels):
-        raise ValueError(
-            f"{layer.name}: ofmap block [{m_start}, {m_stop}) outside "
-            f"[0, {layer.out_channels})"
-        )
-
+    ofmaps = np.zeros(layer.out_shape, dtype=np.float64)
     plan = stripe_plan(layer, stripe_height)
     taps = in_per_group * k * k
     rows_per_block = max(1, _COLS_BLOCK_BYTES // max(1, taps * out_w * 8))
     for group in range(layer.groups):
-        lo = max(m_start, group * out_per_group)
-        hi = min(m_stop, (group + 1) * out_per_group)
-        if lo >= hi:
-            continue
+        lo = group * out_per_group
+        hi = lo + out_per_group
         c0 = group * in_per_group
-        kernel_matrix = weights[lo:hi].reshape(hi - lo, taps)
+        kernel_matrix = weights[lo:hi].reshape(out_per_group, taps)
         # (C/g, out_h, out_w, K, K) zero-copy view of the kept windows
         windows = strided_windows(padded[c0:c0 + in_per_group], k,
                                   layer.stride, layer.out_height, out_w)
@@ -325,20 +298,6 @@ def vectorized_ofmap_block(layer: ConvLayer, padded: np.ndarray,
                 # kernel matrix, columns the kept windows in row-major order
                 cols = windows[:, y0:y1].transpose(0, 3, 4, 1, 2).reshape(
                     taps, (y1 - y0) * out_w)
-                out_block = out[lo:hi, y0:y1]
+                out_block = ofmaps[lo:hi, y0:y1]
                 out_block += (kernel_matrix @ cols).reshape(out_block.shape)
-
-
-def ofmap_block_ranges(layer: ConvLayer, blocks: int) -> list:
-    """Split the ofmap channel axis into at most ``blocks`` contiguous ranges.
-
-    Used by the parallel verification path to fan one layer's simulation out
-    over workers; on Q-format operands any partition yields bit-equal
-    values (see :func:`vectorized_ofmap_block`), so the block count is free
-    to track the worker count.
-    """
-    channels = layer.out_channels
-    blocks = max(1, min(blocks, channels))
-    size = -(-channels // blocks)
-    return [(start, min(channels, start + size))
-            for start in range(0, channels, size)]
+    return ofmaps

@@ -13,17 +13,16 @@ applied in NumPy so inter-layer feature-map shapes stay faithful; fully
 connected layers end the chain (the paper's accelerator only executes
 convolutions).
 
-**Exact on Q-format data.**  With quantisation on (the default) every
-operand is an integer times a per-tensor power of two, so a product needs
-at most ``2 * (total_bits - 1)`` significant bits and a ``K^2 * C/g``-term
-sum ``ceil(log2(K^2 * C/g))`` more.  While that stays within float64's 53-bit
-significand every addition is exact, whatever its order: the simulator, the
-im2col golden and any ofmap block partition agree bit for bit, and every
-conv stage — direct or Winograd — verifies at tolerance 0.  The runner
-checks the bound (:func:`accumulator_bits`) before each conv stage and
-raises :class:`~repro.errors.QuantizationError` rather than verify a layer
-it cannot hold exact.  With quantisation off, stages fall back to the
-round-off tolerances.
+**Contract: Q-format only, exact, serial.**  Every operand is an integer
+times a per-tensor power of two, so a product needs at most
+``2 * (total_bits - 1)`` significant bits and a ``K^2 * C/g``-term sum
+``ceil(log2(K^2 * C/g))`` more.  While that stays within float64's 53-bit
+significand every addition is exact, whatever its order: the simulator and
+the im2col golden agree bit for bit.  The runner checks that bound
+(:func:`check_accumulator_bits`) before every conv stage and raises
+:class:`~repro.errors.QuantizationError` rather than verify a layer it
+cannot hold exact; a run passes iff every conv stage's max|err| is 0.
+Layers run one after another in one process.
 
 With the vectorized backend whole-network functional verification of
 AlexNet/VGG is a seconds-scale step
@@ -42,16 +41,11 @@ from repro.cnn.generator import WorkloadGenerator
 from repro.cnn.layer import ConvLayer, FullyConnectedLayer, PoolingLayer
 from repro.cnn.network import Network
 from repro.cnn.quantize import choose_format
-from repro.cnn.reference import conv2d_im2col, strided_windows
+from repro.cnn.reference import strided_windows
 from repro.core.config import ChainConfig
 from repro.errors import QuantizationError, WorkloadError
 from repro.obs import trace as obs_trace
-from repro.runtime import ParallelRuntime, WorkerError, shared_runtime
-from repro.sim.functional import (
-    FunctionalChainSimulator,
-    FunctionalRunResult,
-    FunctionalRunStats,
-)
+from repro.sim.functional import FunctionalChainSimulator, FunctionalRunStats
 
 # NOTE: repro.analysis.winograd / repro.sim.winograd are imported lazily
 # inside the Winograd code paths — repro.sim is itself imported while
@@ -64,6 +58,10 @@ NETWORK_ALGORITHMS = ("direct", "winograd", "auto")
 
 #: float64 significand bits: every integer of magnitude <= 2**53 is exact
 FLOAT64_EXACT_BITS = 53
+
+#: Q-format width of the operands functional verification runs on (the
+#: chain's 16-bit MACs)
+DATAPATH_BITS = 16
 
 
 def accumulator_bits(layer: ConvLayer, total_bits: int,
@@ -127,11 +125,6 @@ class StageReport:
     chain_cycles: float = 0.0
     #: execution algorithm of a conv stage
     algorithm: str = "direct"
-    #: per-stage golden bound override (0.0 on quantised runs, which are
-    #: exact; unquantised Winograd stages carry the documented
-    #: :func:`repro.sim.winograd.winograd_tolerance`; ``None`` falls back to
-    #: the network-wide tolerance)
-    tolerance: Optional[float] = None
 
     def describe(self) -> str:
         """One verification line, mirroring the cycle CLI output."""
@@ -153,9 +146,6 @@ class NetworkRunResult:
     backend: str
     seed: int
     total_bits: int
-    tolerance: float
-    #: operands quantised to ``total_bits`` Q-format (every stage exact)
-    quantized: bool = True
     stages: List[StageReport] = field(default_factory=list)
     stats: FunctionalRunStats = field(default_factory=FunctionalRunStats)
     chain_cycles_estimate: float = 0.0
@@ -173,27 +163,17 @@ class NetworkRunResult:
 
     @property
     def passed(self) -> bool:
-        """True when every conv stage stayed within its tolerance.
-
-        Each stage checks against its own bound when set (0 on quantised
-        runs, the Winograd tolerance on unquantised Winograd stages), the
-        network-wide tolerance otherwise.
-        """
-        return all(
-            stage.max_abs_error
-            <= (stage.tolerance if stage.tolerance is not None else self.tolerance)
-            for stage in self.conv_stages
-        )
+        """True when every conv stage is bit-equal to the golden."""
+        return all(stage.max_abs_error == 0.0 for stage in self.conv_stages)
 
     def describe(self) -> str:
         """Multi-line human-readable verification report."""
         lines = [stage.describe() for stage in self.stages]
         verdict = "PASSED" if self.passed else "FAILED"
-        bound = (f"exact on {self.total_bits}-bit Q-format" if self.quantized
-                 else f"tolerance {self.tolerance:.0e}")
         lines.append(
             f"functional verification {verdict}: {len(self.conv_stages)} conv "
-            f"layers, max|err|={self.max_abs_error:.2e} ({bound}), "
+            f"layers, max|err|={self.max_abs_error:.2e} "
+            f"(exact on {self.total_bits}-bit Q-format), "
             f"{self.stats.windows_kept} windows kept, "
             f"{self.seconds:.2f}s [{self.backend}]"
         )
@@ -205,12 +185,8 @@ class FunctionalNetworkRunner:
 
     def __init__(self, config: Optional[ChainConfig] = None,
                  backend: str = "vectorized", seed: int = 2017,
-                 total_bits: int = 16, tolerance: float = 1e-6,
-                 quantize_between_stages: bool = True,
-                 workers: Optional[int] = None,
+                 total_bits: int = DATAPATH_BITS,
                  algorithm: str = "direct") -> None:
-        if workers is not None and workers < 1:
-            raise WorkloadError(f"workers must be >= 1, got {workers}")
         if algorithm not in NETWORK_ALGORITHMS:
             raise WorkloadError(
                 f"unknown algorithm {algorithm!r}; available: "
@@ -220,50 +196,13 @@ class FunctionalNetworkRunner:
         self.backend = backend
         self.seed = seed
         self.total_bits = total_bits
-        self.tolerance = tolerance
-        self.quantize_between_stages = quantize_between_stages
         #: execution-algorithm mode: ``winograd``/``auto`` run the
         #: F(2x2,3x3) transform domain on every eligible (3x3 stride-1)
         #: conv layer; ineligible layers always run direct
         self.algorithm = algorithm
-        #: fan each conv layer's ofmap blocks over this many persistent
-        #: workers (vectorized backend only; ``None``/1 = serial); the
-        #: chained forward pass stays serial — layer N+1 needs layer N's
-        #: ofmaps — but within a layer every ofmap channel is independent
-        self.workers = workers
-        self._pool = shared_runtime()
-
-    # ------------------------------------------------------------------ #
-    # parallel runtime lifecycle
-    # ------------------------------------------------------------------ #
-    def _ensure_runtime(self) -> Optional[ParallelRuntime]:
-        """The runner's persistent pool (``None`` = run serially).
-
-        Only the vectorized backend decomposes into independent ofmap
-        blocks; the scalar and cross-checking backends always run serially.
-        A platform without process pools degrades to serial as well — on
-        quantised runs the results are bit-equal either way.
-        """
-        if self.workers is None or self.workers <= 1:
-            return None
-        if self.backend != "vectorized":
-            return None
-        return self._pool.get(workers=self.workers)
-
-    def close(self) -> None:
-        """Detach from the shared pool (idempotent; serial use needs none)."""
-        self._pool.release()
-
-    def __enter__(self) -> "FunctionalNetworkRunner":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
 
     def _quantize(self, activations: np.ndarray) -> np.ndarray:
         """Snap activations onto the fixed-point grid the datapath carries."""
-        if not self.quantize_between_stages:
-            return activations
         return choose_format(activations, self.total_bits).quantize(activations)
 
     def _algorithm_for(self, layer: ConvLayer) -> str:
@@ -273,33 +212,6 @@ class FunctionalNetworkRunner:
         if self.algorithm != "direct" and winograd_eligible(layer):
             return "winograd"
         return "direct"
-
-    def _run_conv(self, layer: ConvLayer, activations: np.ndarray,
-                  weights: np.ndarray,
-                  stripe_height: Optional[int],
-                  algorithm: str = "direct") -> FunctionalRunResult:
-        """One conv layer's simulation, parallel over ofmap blocks when on.
-
-        The parallel path ships the padded ifmaps and weights to the workers
-        once through shared memory, lets every worker write its ofmap
-        channel block into a shared assembly buffer, and derives the
-        dataflow counters from the same closed forms the vectorized backend
-        uses — so on quantised runs ofmaps *and* stats are bit-equal to the
-        serial path (`tests/test_runtime.py` holds this in the equivalence
-        gate; the Winograd block kernel preserves the same partition
-        invariant).
-        """
-        runtime = self._ensure_runtime()
-        if runtime is not None:
-            try:
-                return self.simulator.run_layer_parallel(
-                    layer, activations, weights, runtime,
-                    stripe_height=stripe_height, algorithm=algorithm)
-            except WorkerError:
-                pass  # degradation ladder's last rung: the serial layer walk
-        return self.simulator.run_layer(layer, activations, weights,
-                                        stripe_height=stripe_height,
-                                        algorithm=algorithm)
 
     def run(self, network: Network,
             stripe_heights: Optional[Dict[str, int]] = None,
@@ -321,10 +233,7 @@ class FunctionalNetworkRunner:
         full ``K``-row stripes.  ``algorithms`` likewise maps layer names to
         execution algorithms (:meth:`~repro.mapping.OptimizedSchedule.
         algorithms`); unlisted layers follow the runner's algorithm mode.
-        Quantised runs check every conv stage's accumulator bound first and
-        record a per-stage tolerance of 0; unquantised Winograd stages
-        record the documented Winograd tolerance instead of the network-wide
-        one.
+        Every conv stage's accumulator bound is checked before it runs.
 
         ``progress`` is called with each :class:`StageReport` as it lands
         (the evaluation service streams these to clients as chunked
@@ -335,8 +244,6 @@ class FunctionalNetworkRunner:
             backend=self.backend,
             seed=self.seed,
             total_bits=self.total_bits,
-            tolerance=self.tolerance,
-            quantized=self.quantize_between_stages,
         )
         generator = WorkloadGenerator(seed=self.seed)
         activations: Optional[np.ndarray] = None
@@ -374,27 +281,15 @@ class FunctionalNetworkRunner:
             weights = self._quantize(generator.weights(layer))
             algorithm = ((algorithms or {}).get(layer.name)
                          or self._algorithm_for(layer))
-            if self.quantize_between_stages:
-                check_accumulator_bits(layer, self.total_bits, algorithm)
+            check_accumulator_bits(layer, self.total_bits, algorithm)
             with obs_trace.span("verify.layer", layer=layer.name,
                                 network=network.name, algorithm=algorithm):
-                run = self._run_conv(
+                run = self.simulator.run_layer(
                     layer, activations, weights,
                     stripe_height=(stripe_heights or {}).get(layer.name),
                     algorithm=algorithm,
                 )
-            stage_tolerance: Optional[float] = None
-            if self.quantize_between_stages:
-                error = run.max_abs_error_vs_reference(activations, weights)
-                stage_tolerance = 0.0
-            elif algorithm == "winograd":
-                from repro.sim.winograd import winograd_tolerance
-
-                reference = conv2d_im2col(layer, activations, weights)
-                error = float(np.max(np.abs(reference - run.ofmaps)))
-                stage_tolerance = winograd_tolerance(reference)
-            else:
-                error = run.max_abs_error_vs_reference(activations, weights)
+            error = run.max_abs_error_vs_reference(activations, weights)
             result.stages.append(StageReport(
                 name=layer.name,
                 kind="conv",
@@ -404,7 +299,6 @@ class FunctionalNetworkRunner:
                 windows_kept=run.stats.windows_kept,
                 chain_cycles=run.chain_cycles_estimate,
                 algorithm=algorithm,
-                tolerance=stage_tolerance,
             ))
             if progress is not None:
                 progress(result.stages[-1])

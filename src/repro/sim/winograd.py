@@ -2,30 +2,24 @@
 
 The transform-domain counterpart of :mod:`repro.cnn.reference`: each 4x4
 input tile ``d`` becomes ``V = B^T d B``, each 3x3 filter plane ``g``
-becomes the 4x4 plane ``U = G g G^T``, the per-tile product is the
-element-wise ``U (*) V`` accumulated over input channels, and the 2x2
-output tile is recovered as ``Y = A^T M A``.  The hot per-group kernel
-is :func:`winograd_group_conv`.
+becomes the 4x4 plane ``U = G g G^T``, the per-tile product ``U (*) V`` is
+summed over input channels, and the 2x2 output tile is recovered as
+``Y = A^T M A``.  The hot per-group kernel is :func:`winograd_group_conv`;
+it casts the transform-domain step as 16 independent GEMMs, one per tile
+position (Lavin & Gray, CVPR 2016, §4).
 
-**Exact on Q-format data.**  F(2x2,3x3) uses only the coefficients
-{0, ±1, ±1/2}: ``B`` and ``A`` are pure adds and ``G``'s halves are
-power-of-two scalings.  On fixed-point operands every transformed value is
-therefore still an integer times a power of two, a few bits wider
-(:data:`WINOGRAD_GROWTH_BITS`), and while the widest partial sum fits
-float64's 53-bit significand (checked per layer by
-:func:`repro.sim.network.accumulator_bits`) every operation is exact: the
-result is bit-equal to the im2col golden, and quantised runs verify at
-tolerance 0.  F(4x4,3x3) would *not* stay exact — its transforms carry
-non-dyadic coefficients such as 1/3 and 1/6 that no binary fixed-point grid
-represents — so extending the tile size needs a tolerance again.
-
-**Tolerance contract (unquantised floats only).**  On arbitrary float64
-operands the transforms reassociate the 3x3 reduction and results agree
-with the golden only to round-off of the accumulator scale;
-:func:`winograd_tolerance` — ``1e-6 * max(1, max|reference|)`` — is the
-documented bound for that mode.  Within the Winograd path itself
-determinism is strict on any input: any partition of the ofmap channels
-(serial, ``--workers N``) produces the same bits.
+**Contract: exact on Q-format data.**  F(2x2,3x3) uses only the
+coefficients {0, ±1, ±1/2}: ``B`` and ``A`` are pure adds and ``G``'s
+halves are power-of-two scalings.  On fixed-point operands every
+transformed value is therefore still an integer times a power of two, a few
+bits wider (:data:`WINOGRAD_GROWTH_BITS`), and while the widest partial sum
+fits float64's 53-bit significand (checked per layer by
+:func:`repro.sim.network.check_accumulator_bits`) every operation is exact
+in any order: the result is bit-equal to the im2col golden.  Functional
+verification runs only on such operands and passes iff max|err| == 0.
+F(4x4,3x3) would *not* stay exact — its transforms carry non-dyadic
+coefficients such as 1/3 and 1/6 that no binary fixed-point grid
+represents.
 """
 
 from __future__ import annotations
@@ -35,13 +29,12 @@ from typing import Optional
 import numpy as np
 
 from repro.analysis.winograd import (
-    WINOGRAD_RELATIVE_TOLERANCE,
     WINOGRAD_TILE_OUT,
     winograd_eligible,
     winograd_tile_grid,
 )
 from repro.cnn.layer import ConvLayer
-from repro.cnn.reference import _check_shapes, pad_input
+from repro.cnn.reference import _check_shapes
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -49,8 +42,6 @@ __all__ = [
     "conv2d_winograd",
     "transform_filters",
     "winograd_group_conv",
-    "winograd_ofmap_block",
-    "winograd_tolerance",
     "winograd_eligible",
 ]
 
@@ -62,43 +53,31 @@ __all__ = [
 WINOGRAD_GROWTH_BITS = 10
 
 
-def winograd_tolerance(reference: np.ndarray) -> float:
-    """The documented absolute tolerance vs the im2col golden (unquantised).
-
-    Relative to the accumulator scale: ``1e-6 * max(1, max|reference|)``.
-    Float64 round-off of the reassociated reduction sits orders of
-    magnitude below this for every layer in the zoo; a real defect (wrong
-    transform, mis-scattered tile) lands orders of magnitude above it.
-    """
-    scale = float(np.max(np.abs(reference))) if reference.size else 0.0
-    return WINOGRAD_RELATIVE_TOLERANCE * max(1.0, scale)
-
-
 def transform_filters(weights: np.ndarray) -> np.ndarray:
     """``G g G^T`` for every 3x3 plane of ``weights`` (..., 3, 3) -> (..., 4, 4).
 
     Computed once per layer in float64 — multiplications by G's 0.5
     entries are exact (power-of-two scaling), so the transformed planes
-    are identical however they are consumed.
+    are identical however they are consumed.  The result is a view whose
+    memory is laid out tile position first, the order
+    :func:`winograd_group_conv` multiplies in.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.shape[-2:] != (3, 3):
         raise ConfigurationError(
             f"winograd filter transform needs 3x3 planes, got {w.shape[-2:]}")
-    g0 = w[..., 0, :]
-    g1 = w[..., 1, :]
-    g2 = w[..., 2, :]
-    a = np.empty(w.shape[:-2] + (4, 3), dtype=np.float64)
-    a[..., 0, :] = g0
-    a[..., 1, :] = ((g0 + g1) + g2) * 0.5
-    a[..., 2, :] = ((g0 - g1) + g2) * 0.5
-    a[..., 3, :] = g2
-    u = np.empty(w.shape[:-2] + (4, 4), dtype=np.float64)
-    u[..., 0] = a[..., 0]
-    u[..., 1] = ((a[..., 0] + a[..., 1]) + a[..., 2]) * 0.5
-    u[..., 2] = ((a[..., 0] - a[..., 1]) + a[..., 2]) * 0.5
-    u[..., 3] = a[..., 2]
-    return u
+    g = np.moveaxis(w, (-2, -1), (0, 1))
+    a = np.empty((4, 3) + w.shape[:-2], dtype=np.float64)
+    a[0] = g[0]
+    a[1] = ((g[0] + g[1]) + g[2]) * 0.5
+    a[2] = ((g[0] - g[1]) + g[2]) * 0.5
+    a[3] = g[2]
+    u = np.empty((4, 4) + w.shape[:-2], dtype=np.float64)
+    u[:, 0] = a[:, 0]
+    u[:, 1] = ((a[:, 0] + a[:, 1]) + a[:, 2]) * 0.5
+    u[:, 2] = ((a[:, 0] - a[:, 1]) + a[:, 2]) * 0.5
+    u[:, 3] = a[:, 2]
+    return np.moveaxis(u, (0, 1), (-2, -1))
 
 
 def _require_eligible(layer: ConvLayer) -> None:
@@ -108,105 +87,59 @@ def _require_eligible(layer: ConvLayer) -> None:
             f"stride=1, got K={layer.kernel_size} S={layer.stride}")
 
 
-def _extend_group(padded_group: np.ndarray, rows_ext: int,
-                  cols_ext: int) -> np.ndarray:
-    """Zero-extend one group's padded planes to the 4x4 tile grid extent."""
-    cg, rows, cols = padded_group.shape
-    ext = np.zeros((cg, rows_ext, cols_ext), dtype=np.float64)
-    ext[:, :rows, :cols] = padded_group
-    return ext
-
-
 def winograd_group_conv(ext: np.ndarray, u: np.ndarray,
                         out_block: np.ndarray) -> None:
     """One group's Winograd F(2x2,3x3) convolution, vectorized.
 
     ``ext`` is the group's ``(Cg, 2*th+2, 2*tw+2)`` float64 input plane,
-    zero-extended to the 4x4 tile grid; ``u`` the ``(Mb, Cg, 4, 4)`` float64
-    *transformed* filters (``G g G^T``, see :func:`transform_filters`);
-    ``out_block`` the ``(Mb, out_h, out_w)`` float64 ofmap block,
-    **assigned** (not accumulated).
+    zero-padded and zero-extended to the 4x4 tile grid; ``u`` the
+    ``(Mb, Cg, 4, 4)`` float64 *transformed* filters (``G g G^T``, see
+    :func:`transform_filters`); ``out_block`` the ``(Mb, out_h, out_w)``
+    float64 ofmap block, **assigned** (not accumulated).
 
-    On Q-format operands the result is bit-equal to the im2col golden (see
-    the module docstring); on unquantised floats the transforms
-    reassociate the 3x3 reduction and it is only tolerance-close.  It is
-    deterministic on any input: the input transform is explicit adds, the
-    transform-domain accumulation runs over input channels in ascending
-    order element by element, and the inverse transform uses a fixed
-    association, so any partition of the ofmap block (serial or parallel
-    workers) produces the same bits.
+    The input and inverse transforms are explicit adds; the sum over input
+    channels is one batched ``(16, Mb, Cg) @ (16, Cg, tiles)`` matmul.  On
+    Q-format operands every step is exact, so the result is bit-equal to
+    the im2col golden (see the module docstring).
     """
     cg = ext.shape[0]
     mb, out_h, out_w = out_block.shape
     th = (ext.shape[1] - 2) // 2
     tw = (ext.shape[2] - 2) // 2
-    tiles = th * tw
-    # 4x4 input tiles at stride 2: (Cg, th, tw, 4, 4)
+    # 4x4 input tiles at stride 2, tile position first: d[r, c] is the
+    # (Cg, th, tw) plane of every tile's element (r, c)
     d = np.lib.stride_tricks.sliding_window_view(
-        ext, (4, 4), axis=(1, 2))[:, ::2, ::2]
-    # input transform B^T d B — B has entries in {0, +-1}, so the transform
-    # is pure adds; rows first, then columns, association fixed so every
-    # block partition produces the same bits
-    n = np.empty((cg, th, tw, 4, 4), dtype=np.float64)
-    n[..., 0, :] = d[..., 0, :] - d[..., 2, :]
-    n[..., 1, :] = d[..., 1, :] + d[..., 2, :]
-    n[..., 2, :] = d[..., 2, :] - d[..., 1, :]
-    n[..., 3, :] = d[..., 1, :] - d[..., 3, :]
+        ext, (4, 4), axis=(1, 2))[:, ::2, ::2].transpose(3, 4, 0, 1, 2)
+    # input transform B^T d B — B has entries in {0, +-1}: rows, then columns
+    n = np.empty((4, 4, cg, th, tw), dtype=np.float64)
+    np.subtract(d[0], d[2], out=n[0])
+    np.add(d[1], d[2], out=n[1])
+    np.subtract(d[2], d[1], out=n[2])
+    np.subtract(d[1], d[3], out=n[3])
     v = np.empty_like(n)
-    v[..., 0] = n[..., 0] - n[..., 2]
-    v[..., 1] = n[..., 1] + n[..., 2]
-    v[..., 2] = n[..., 2] - n[..., 1]
-    v[..., 3] = n[..., 1] - n[..., 3]
-    v2 = v.reshape(cg, tiles, 16)
-    u2 = np.ascontiguousarray(u, dtype=np.float64).reshape(mb, cg, 16)
-    # transform-domain Hadamard product, accumulated over input channels in
-    # ascending order (one rounded multiply + one rounded add per element
-    # per channel — the order every block partition reproduces)
-    m = np.zeros((mb, tiles, 16), dtype=np.float64)
-    for ci in range(cg):
-        m += u2[:, ci, :][:, None, :] * v2[ci]
-    # inverse transform A^T m A — again pure adds with fixed association
-    m4 = m.reshape(mb, tiles, 4, 4)
-    q = np.empty((mb, tiles, 2, 4), dtype=np.float64)
-    q[..., 0, :] = (m4[..., 0, :] + m4[..., 1, :]) + m4[..., 2, :]
-    q[..., 1, :] = (m4[..., 1, :] - m4[..., 2, :]) - m4[..., 3, :]
-    y = np.empty((mb, tiles, 2, 2), dtype=np.float64)
-    y[..., 0] = (q[..., 0] + q[..., 1]) + q[..., 2]
-    y[..., 1] = (q[..., 1] - q[..., 2]) - q[..., 3]
-    # scatter the 2x2 tiles back onto the ofmap grid and crop ragged edges
-    full = y.reshape(mb, th, tw, 2, 2).transpose(0, 1, 3, 2, 4)
-    out_block[:] = full.reshape(mb, 2 * th, 2 * tw)[:, :out_h, :out_w]
-
-
-def winograd_ofmap_block(layer: ConvLayer, padded: np.ndarray,
-                         weights: np.ndarray, m_start: int, m_stop: int,
-                         out: np.ndarray) -> None:
-    """Compute ofmap channels ``[m_start, m_stop)`` via Winograd tiles.
-
-    The Winograd counterpart of
-    :func:`repro.sim.functional_vectorized.vectorized_ofmap_block`:
-    ``padded`` is the zero-padded ``(C, H+2P, W+2P)`` float64 input, ``out``
-    the full ``(M, out_h, out_w)`` ofmap tensor (only the requested block
-    is written).  Because every output channel's transform-domain
-    accumulation is independent and walks input channels in ascending
-    order, any block partition is bit-identical to the serial whole.
-    """
-    _require_eligible(layer)
-    tiles_h, tiles_w = winograd_tile_grid(layer)
-    rows_ext = WINOGRAD_TILE_OUT * tiles_h + 2
-    cols_ext = WINOGRAD_TILE_OUT * tiles_w + 2
-    in_per_group = layer.in_channels_per_group
-    out_per_group = layer.out_channels_per_group
-    for group in range(layer.groups):
-        lo = max(m_start, group * out_per_group)
-        hi = min(m_stop, (group + 1) * out_per_group)
-        if lo >= hi:
-            continue
-        in_lo = group * in_per_group
-        ext = _extend_group(padded[in_lo:in_lo + in_per_group],
-                            rows_ext, cols_ext)
-        u = transform_filters(weights[lo:hi])
-        winograd_group_conv(ext, u, out[lo:hi])
+    np.subtract(n[:, 0], n[:, 2], out=v[:, 0])
+    np.add(n[:, 1], n[:, 2], out=v[:, 1])
+    np.subtract(n[:, 2], n[:, 1], out=v[:, 2])
+    np.subtract(n[:, 1], n[:, 3], out=v[:, 3])
+    del n
+    # transform-domain product summed over input channels: one GEMM per
+    # tile position, (16, Mb, Cg) @ (16, Cg, tiles) -> (16, Mb, tiles)
+    u16 = np.asarray(u, dtype=np.float64).transpose(2, 3, 0, 1).reshape(
+        16, mb, cg)
+    m = np.matmul(u16, v.reshape(16, cg, th * tw)).reshape(4, 4, mb, th, tw)
+    del v
+    # inverse transform A^T m A — again pure adds — scattered straight onto
+    # the ofmap grid: output (i, j) of every tile lands at rows i::2,
+    # columns j::2, cropped at ragged edges
+    q = np.empty((2, 4, mb, th, tw), dtype=np.float64)
+    q[0] = (m[0] + m[1]) + m[2]
+    q[1] = (m[1] - m[2]) - m[3]
+    for i in range(2):
+        rows = (out_h - i + 1) // 2
+        for j, y in enumerate(((q[i, 0] + q[i, 1]) + q[i, 2],
+                               (q[i, 1] - q[i, 2]) - q[i, 3])):
+            cols = (out_w - j + 1) // 2
+            out_block[:, i::2, j::2] = y[:, :rows, :cols]
 
 
 def conv2d_winograd(layer: ConvLayer, ifmaps: np.ndarray,
@@ -217,14 +150,25 @@ def conv2d_winograd(layer: ConvLayer, ifmaps: np.ndarray,
     Same signature and shapes as :func:`repro.cnn.reference.conv2d_im2col`
     (single-image CHW in, ``(M, out_h, out_w)`` float64 out); grouped
     convolutions are transformed per group.  Bit-equal to the im2col golden
-    on Q-format operands, within :func:`winograd_tolerance` otherwise.
+    on Q-format operands.
     """
     _require_eligible(layer)
     _check_shapes(layer, ifmaps, weights)
-    padded = pad_input(np.asarray(ifmaps, dtype=np.float64), layer.padding)
-    out = np.zeros((layer.out_channels, layer.out_height, layer.out_width),
-                   dtype=np.float64)
-    winograd_ofmap_block(layer, padded, weights, 0, layer.out_channels, out)
+    tiles_h, tiles_w = winograd_tile_grid(layer)
+    # the zero padding and the tile-grid extension in one buffer: the grid
+    # always covers the padded plane (2 * ceil(out/2) + 2 >= out + 2)
+    pad = layer.padding
+    ext = np.zeros((layer.in_channels, WINOGRAD_TILE_OUT * tiles_h + 2,
+                    WINOGRAD_TILE_OUT * tiles_w + 2), dtype=np.float64)
+    ext[:, pad:pad + layer.in_height, pad:pad + layer.in_width] = ifmaps
+    u = transform_filters(weights)
+    out = np.empty(layer.out_shape, dtype=np.float64)
+    cg = layer.in_channels_per_group
+    mg = layer.out_channels_per_group
+    for group in range(layer.groups):
+        winograd_group_conv(ext[group * cg:(group + 1) * cg],
+                            u[group * mg:(group + 1) * mg],
+                            out[group * mg:(group + 1) * mg])
     if bias is not None:
         out += np.asarray(bias, dtype=np.float64)[:, None, None]
     return out

@@ -47,6 +47,25 @@ class TestParser:
         err = capsys.readouterr().err
         assert err.startswith("usage: repro") and "repro: error:" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--sim", "functional", "--network", "alexnet",
+         "--workers", "2"],
+        ["run", "alexnet", "--engine", "functional-vectorized",
+         "--workers", "2"],
+    ], ids=["verify", "run"])
+    def test_removed_workers_flag_is_a_usage_error(self, argv, capsys):
+        """Functional verification is serial: ``--workers`` on ``verify``
+        and ``run`` fails loudly with a usage error, it is not ignored."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --workers 2" in err
+
+    def test_map_still_takes_workers(self):
+        args = build_parser().parse_args(["map", "--workers", "2"])
+        assert args.workers == 2
+
 
 class TestCommands:
     def test_info(self, capsys):

@@ -1,16 +1,13 @@
 """Parallel-runtime tests: pool mechanics, degradation, and the
 parallel-vs-serial bit-identity guarantees the CI equivalence gate enforces
-for ``sweep``, ``map`` and ``verify``."""
+for ``sweep`` and ``map``."""
 
 from __future__ import annotations
 
-import pickle
 import warnings
 
-import numpy as np
 import pytest
 
-from repro.cnn.quantize import quantize_layer_tensors
 from repro.cnn.zoo import alexnet, tiny_test_network
 from repro.core.config import ChainConfig
 from repro.engine.executor import SweepExecutor
@@ -19,14 +16,10 @@ from repro.runtime import (
     FaultPlan,
     LazyRuntime,
     ParallelRuntime,
-    SharedTensor,
     WorkerError,
     resolve_workers,
 )
 from repro.runtime import pool as pool_module
-from repro.runtime import shm as shm_module
-from repro.sim.functional import FunctionalChainSimulator
-from repro.sim.network import FunctionalNetworkRunner
 
 
 @pytest.fixture(autouse=True)
@@ -188,39 +181,6 @@ class TestLazyRuntime:
             owner.close()
 
 
-class TestSharedTensor:
-    def test_round_trip_and_writeback(self):
-        data = np.arange(24.0).reshape(2, 3, 4)
-        handle = SharedTensor.create(data)
-        try:
-            view = handle.open()
-            assert np.array_equal(view, data)
-            view[0, 0, 0] = -1.0
-            assert handle.open()[0, 0, 0] == -1.0
-            assert handle.nbytes == data.nbytes
-        finally:
-            handle.unlink()
-
-    def test_pickled_handle_is_small(self):
-        data = np.zeros((256, 256))
-        handle = SharedTensor.create(data)
-        try:
-            if handle.name is None:
-                pytest.skip("platform fell back to inline transfer")
-            assert len(pickle.dumps(handle)) < 1024  # handle, not payload
-        finally:
-            handle.unlink()
-
-    def test_inline_fallback_without_shared_memory(self, monkeypatch):
-        monkeypatch.setattr(shm_module, "_shared_memory", None)
-        data = np.arange(6.0)
-        handle = SharedTensor.create(data)
-        assert handle.name is None
-        clone = pickle.loads(pickle.dumps(handle))
-        assert np.array_equal(clone.open(), data)
-        handle.unlink()
-
-
 class TestSerialDegradation:
     """No pool -> every consumer silently runs its serial path."""
 
@@ -245,27 +205,6 @@ class TestSerialDegradation:
         baseline = ScheduleOptimizer(strategy="exhaustive",
                                      batch=4).optimize(network)
         assert schedule.to_json_dict() == baseline.to_json_dict()
-
-    def test_verify_degrades(self, no_pools):
-        network = tiny_test_network()
-        with FunctionalNetworkRunner(seed=7, workers=4) as runner:
-            parallel = runner.run(network)
-        serial = FunctionalNetworkRunner(seed=7).run(network)
-        assert parallel.stats == serial.stats
-        assert parallel.max_abs_error == serial.max_abs_error
-
-    def test_verify_degrades_without_shared_memory(self, monkeypatch):
-        """Live pool but no shm: the inline fallback cannot assemble ofmaps
-        across processes, so the layer must run serially — and identically."""
-        monkeypatch.setattr(shm_module, "_shared_memory", None)
-        network = tiny_test_network()
-        serial = FunctionalNetworkRunner(seed=7).run(network)
-        with FunctionalNetworkRunner(seed=7, workers=2) as runner:
-            parallel = runner.run(network)
-        assert parallel.stats == serial.stats
-        assert parallel.max_abs_error == serial.max_abs_error
-        assert parallel.passed
-
 
 class TestSingleCoreDegradation:
     """``--workers`` on a single-core host degrades to the serial path."""
@@ -299,73 +238,18 @@ class TestSingleCoreDegradation:
         assert requested == [2]
 
     def test_consumers_run_serially(self, single_core):
-        """End to end: workers>1 on one core still verifies, bit-identically."""
+        """End to end: workers>1 on one core still searches, bit-identically."""
         network = tiny_test_network()
-        serial = FunctionalNetworkRunner(seed=3).run(network)
+        serial = ScheduleOptimizer(strategy="exhaustive",
+                                   batch=4).optimize(network)
         with pytest.warns(RuntimeWarning, match="single-core"):
-            with FunctionalNetworkRunner(seed=3, workers=4) as runner:
-                parallel = runner.run(network)
-        assert parallel.stats == serial.stats
-        assert parallel.max_abs_error == serial.max_abs_error
-
-
-def _q_pair(generator, layer):
-    """Q-format operands: any ofmap partition sums exactly."""
-    ifmaps, weights, _, _ = quantize_layer_tensors(*generator.layer_pair(layer))
-    return ifmaps, weights
+            parallel = ScheduleOptimizer(strategy="exhaustive", batch=4,
+                                         workers=4).optimize(network)
+        assert parallel.to_json_dict() == serial.to_json_dict()
 
 
 class TestParallelSerialEquivalence:
     """The bit-identity contract of the runtime consumers."""
-
-    def test_ofmap_block_partition_is_bit_identical(self, generator,
-                                                    strided_layer,
-                                                    grouped_layer):
-        from repro.cnn.reference import pad_input
-        from repro.sim.functional_vectorized import (
-            ofmap_block_ranges,
-            vectorized_layer_ofmaps,
-            vectorized_ofmap_block,
-        )
-
-        for layer in (strided_layer, grouped_layer):
-            ifmaps, weights = _q_pair(generator, layer)
-            padded = pad_input(ifmaps, layer.padding)
-            whole = vectorized_layer_ofmaps(layer, padded, weights)
-            for blocks in (2, 3, layer.out_channels):
-                assembled = np.zeros(layer.out_shape)
-                for m_start, m_stop in ofmap_block_ranges(layer, blocks):
-                    vectorized_ofmap_block(layer, padded, weights,
-                                           m_start, m_stop, out=assembled)
-                assert np.array_equal(whole, assembled)
-
-    def test_run_layer_parallel_matches_serial(self, runtime, generator,
-                                               tiny_layer, strided_layer,
-                                               grouped_layer):
-        simulator = FunctionalChainSimulator(backend="vectorized")
-        for layer in (tiny_layer, strided_layer, grouped_layer):
-            ifmaps, weights = _q_pair(generator, layer)
-            for stripe_height in (None, 1):
-                serial = simulator.run_layer(layer, ifmaps, weights,
-                                             stripe_height=stripe_height)
-                parallel = simulator.run_layer_parallel(
-                    layer, ifmaps, weights, runtime,
-                    stripe_height=stripe_height)
-                assert np.array_equal(serial.ofmaps, parallel.ofmaps)
-                assert serial.stats == parallel.stats
-                assert serial.chain_cycles_estimate == parallel.chain_cycles_estimate
-
-    def test_network_verify_parallel_matches_serial(self):
-        network = tiny_test_network()
-        serial = FunctionalNetworkRunner(seed=11).run(network)
-        with FunctionalNetworkRunner(seed=11, workers=2) as runner:
-            parallel = runner.run(network)
-        assert serial.stats == parallel.stats
-        assert serial.max_abs_error == parallel.max_abs_error
-        assert [s.max_abs_error for s in serial.stages] == \
-            [s.max_abs_error for s in parallel.stages]
-        assert [s.chain_cycles for s in serial.stages] == \
-            [s.chain_cycles for s in parallel.stages]
 
     @pytest.mark.parametrize("strategy", ["exhaustive", "anneal"])
     def test_mapping_search_parallel_matches_serial(self, strategy):

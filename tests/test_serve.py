@@ -13,7 +13,10 @@ from __future__ import annotations
 import asyncio
 import io
 import json
+import os
+import signal
 import threading
+import time
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -298,6 +301,36 @@ class TestServerBitIdentity:
             == serial_map
         assert sweep_raw.decode() + "\n" == serial_sweep
 
+    def test_response_ends_while_a_forked_child_holds_the_socket(
+            self, monkeypatch):
+        """A pool forked mid-request inherits the connection's socket; the
+        client reading to EOF must still see the response end."""
+        children = []
+        dispatch = EvalServer._dispatch
+
+        async def forking_dispatch(self, request, writer):
+            pid = os.fork()
+            if pid == 0:  # stands in for a persistent pool worker
+                time.sleep(60)
+                os._exit(0)
+            children.append(pid)
+            await dispatch(self, request, writer)
+
+        monkeypatch.setattr(EvalServer, "_dispatch", forking_dispatch)
+
+        async def client(server):
+            return await asyncio.wait_for(request_json(
+                server.host, server.port, "/v1/sweep",
+                {"grid": "pe=128:256:128,freq=700:700:1"}), timeout=20)
+
+        try:
+            status, _ = _serve(client)
+        finally:
+            for pid in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        assert status == 200
+
     def test_verify_streams_stage_progress_then_result(self):
         async def client(server):
             return await request_json(server.host, server.port, "/v1/verify",
@@ -330,7 +363,24 @@ class TestServerBitIdentity:
 
         responses = _serve(clients)
         assert [status for status, _ in responses] == [400, 404, 400, 400, 400]
-        assert b"workers" in responses[3][1]
+        assert b"unknown parameter(s) workers" in responses[3][1]
+
+    def test_removed_workers_field_is_an_unknown_parameter(self):
+        """Functional verification is serial: ``workers`` on /v1/verify and
+        /v1/run is rejected, not silently ignored."""
+        async def clients(server):
+            return await asyncio.gather(
+                request_json(server.host, server.port, "/v1/verify",
+                             {"network": "tiny", "workers": 2}),
+                request_json(server.host, server.port, "/v1/run",
+                             {"network": "alexnet",
+                              "engine": "functional-vectorized",
+                              "workers": 2}),
+            )
+
+        for status, body in _serve(clients):
+            assert status == 400
+            assert b"unknown parameter(s) workers" in body
 
     def test_chain_too_short_for_the_kernel_is_a_client_error(self):
         """A MappingError is the request's fault: 400, never 500."""

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.cnn.generator import WorkloadGenerator
 from repro.cnn.layer import ConvLayer
+from repro.cnn.quantize import quantize_layer_tensors
 from repro.cnn.reference import conv2d_direct
 from repro.core.config import ChainConfig
 from repro.errors import WorkloadError
@@ -26,6 +27,12 @@ def _tensors(layer, seed=0):
     return gen.layer_pair(layer)
 
 
+def _q_tensors(layer, seed=0):
+    """Q-format operands: what run_and_check's exactness contract needs."""
+    ifmaps, weights, _, _ = quantize_layer_tensors(*_tensors(layer, seed))
+    return ifmaps, weights
+
+
 class TestFunctionalCorrectness:
     def test_stride1_layer_matches_reference(self, simulator):
         layer = ConvLayer("f1", 3, 4, 10, 10, kernel_size=3, padding=1)
@@ -36,24 +43,24 @@ class TestFunctionalCorrectness:
 
     def test_strided_layer_matches_reference(self, simulator):
         layer = ConvLayer("f2", 2, 3, 15, 15, kernel_size=3, stride=2)
-        ifmaps, weights = _tensors(layer, seed=1)
-        assert simulator.run_and_check(layer, ifmaps, weights)["max_abs_error"] < 1e-9
+        ifmaps, weights = _q_tensors(layer, seed=1)
+        assert simulator.run_and_check(layer, ifmaps, weights)["max_abs_error"] == 0.0
 
     def test_grouped_layer_matches_reference(self, simulator):
         layer = ConvLayer("f3", 4, 6, 9, 9, kernel_size=3, padding=1, groups=2)
-        ifmaps, weights = _tensors(layer, seed=2)
-        assert simulator.run_and_check(layer, ifmaps, weights)["max_abs_error"] < 1e-9
+        ifmaps, weights = _q_tensors(layer, seed=2)
+        assert simulator.run_and_check(layer, ifmaps, weights)["max_abs_error"] == 0.0
 
     def test_k5_layer_matches_reference(self, simulator):
         layer = ConvLayer("f4", 2, 2, 14, 14, kernel_size=5, padding=2)
-        ifmaps, weights = _tensors(layer, seed=3)
-        assert simulator.run_and_check(layer, ifmaps, weights)["max_abs_error"] < 1e-9
+        ifmaps, weights = _q_tensors(layer, seed=3)
+        assert simulator.run_and_check(layer, ifmaps, weights)["max_abs_error"] == 0.0
 
     def test_alexnet_conv1_like_geometry(self, simulator):
         # a shrunken conv1: stride 4, kernel 11 on a 47x47 image
         layer = ConvLayer("mini_conv1", 1, 2, 47, 47, kernel_size=11, stride=4)
-        ifmaps, weights = _tensors(layer, seed=4)
-        assert simulator.run_and_check(layer, ifmaps, weights)["max_abs_error"] < 1e-9
+        ifmaps, weights = _q_tensors(layer, seed=4)
+        assert simulator.run_and_check(layer, ifmaps, weights)["max_abs_error"] == 0.0
 
     def test_golden_check_agrees_with_both_references(self, simulator):
         """The im2col-based golden check never diverges from the direct one.

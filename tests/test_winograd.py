@@ -3,9 +3,8 @@
 Covers the three tentpole pieces end to end:
 
 * the functional transform-domain backend (`repro.sim.winograd`) against the
-  im2col golden — bit-equal on Q-format operands, within the documented
-  tolerance on unquantised floats — including bit-identity of ofmap-block
-  partitions and kernel backends;
+  im2col golden — bit-equal on Q-format operands, on zoo geometries and on
+  hypothesis-drawn geometries and operand widths;
 * the analytical transform-domain cost model (`repro.analysis.winograd` +
   the ``winograd`` column of :class:`MappingBatchEvaluator`);
 * the per-layer algorithm axis in the mapping search (never-worse vs
@@ -21,6 +20,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.batch import MAPPING_RESULT_COLUMNS, MappingBatchEvaluator
 from repro.analysis.winograd import (
@@ -35,12 +36,11 @@ from repro.analysis.winograd import (
 )
 from repro.cnn.generator import WorkloadGenerator
 from repro.cnn.layer import ConvLayer
-from repro.cnn.network import Network
 from repro.cnn.quantize import quantize_layer_tensors
-from repro.cnn.reference import conv2d_im2col, pad_input
+from repro.cnn.reference import conv2d_im2col
 from repro.cnn.zoo import get_network
 from repro.core.config import ChainConfig
-from repro.errors import ConfigurationError, MappingError
+from repro.errors import ConfigurationError, MappingError, SimulationError
 from repro.mapping import ScheduleOptimizer, make_strategy
 from repro.mapping.mapspace import (
     ALGORITHM_MODES,
@@ -50,18 +50,20 @@ from repro.mapping.mapspace import (
     MappingCandidate,
 )
 from repro.sim.functional import FunctionalChainSimulator
-from repro.sim.network import FunctionalNetworkRunner
-from repro.sim.winograd import (
-    conv2d_winograd,
-    transform_filters,
-    winograd_ofmap_block,
-    winograd_tolerance,
-)
+from repro.sim.network import FunctionalNetworkRunner, check_accumulator_bits
+from repro.sim.winograd import conv2d_winograd, transform_filters
 
 
 @pytest.fixture(scope="module")
 def generator():
     return WorkloadGenerator(seed=2017)
+
+
+def _q_pair(generator, layer, total_bits=16):
+    """Q-format operands, on which the Winograd transforms are exact."""
+    ifmaps, weights, _, _ = quantize_layer_tensors(
+        *generator.layer_pair(layer), total_bits=total_bits)
+    return ifmaps, weights
 
 
 def _eligible_layer(name="wino", in_channels=5, out_channels=7,
@@ -176,38 +178,29 @@ class TestFunctionalBackend:
         # only requires the one transform_filters result to be shared)
         np.testing.assert_allclose(transformed, expected, rtol=0, atol=1e-15)
 
-    def test_matches_im2col_on_zoo_geometries(self, generator):
-        for layer in _zoo_eligible_geometries():
-            ifmaps, weights = generator.layer_pair(layer)
-            reference = conv2d_im2col(layer, ifmaps, weights)
-            result = conv2d_winograd(layer, ifmaps, weights)
-            error = float(np.max(np.abs(reference - result)))
-            assert error <= winograd_tolerance(reference), \
-                f"{layer.name}: {error} vs {winograd_tolerance(reference)}"
-
-    def test_matches_im2col_on_randomized_geometries(self):
-        rng = np.random.default_rng(88)
-        for case in range(10):
-            groups = int(rng.choice((1, 2))) if case % 3 == 0 else 1
-            in_channels = int(rng.integers(1, 9)) * groups
-            out_channels = int(rng.integers(1, 9)) * groups
-            layer = ConvLayer(
-                f"rand{case}",
-                in_channels=in_channels, out_channels=out_channels,
-                in_height=int(rng.integers(4, 24)),
-                in_width=int(rng.integers(4, 24)),
-                kernel_size=3, stride=1,
-                padding=int(rng.integers(0, 3)), groups=groups,
-            )
-            weight_shape = (layer.out_channels, layer.in_channels_per_group,
-                            3, 3)
-            for image in range(int(rng.integers(1, 3))):
-                ifmaps = rng.normal(size=layer.in_shape)
-                weights = rng.normal(size=weight_shape)
-                reference = conv2d_im2col(layer, ifmaps, weights)
-                result = conv2d_winograd(layer, ifmaps, weights)
-                error = float(np.max(np.abs(reference - result)))
-                assert error <= winograd_tolerance(reference), layer.name
+    @settings(max_examples=40, deadline=None)
+    @given(groups=st.sampled_from((1, 2)),
+           in_per_group=st.integers(1, 8), out_per_group=st.integers(1, 8),
+           height=st.integers(3, 20), width=st.integers(3, 20),
+           padding=st.integers(0, 2), total_bits=st.integers(8, 16),
+           seed=st.integers(0, 2**16))
+    def test_matches_im2col_on_randomized_geometries(
+            self, groups, in_per_group, out_per_group, height, width,
+            padding, total_bits, seed):
+        """Property: on any eligible geometry and any 8..16-bit Q-format
+        width, the transform domain is bit-equal to the im2col golden."""
+        layer = ConvLayer(
+            "rand", in_channels=in_per_group * groups,
+            out_channels=out_per_group * groups, in_height=height,
+            in_width=width, kernel_size=3, stride=1, padding=padding,
+            groups=groups,
+        )
+        check_accumulator_bits(layer, total_bits, "winograd")
+        ifmaps, weights = _q_pair(WorkloadGenerator(seed=seed), layer,
+                                  total_bits)
+        reference = conv2d_im2col(layer, ifmaps, weights)
+        assert np.array_equal(conv2d_winograd(layer, ifmaps, weights),
+                              reference)
 
     def test_transforms_use_only_dyadic_coefficients(self):
         """G's columns (read back from impulses) lie in {0, +-1, +-1/2}.
@@ -222,8 +215,7 @@ class TestFunctionalBackend:
 
     def test_bit_equal_to_im2col_on_q_format_zoo_geometries(self, generator):
         for layer in _zoo_eligible_geometries(max_spatial=14):
-            ifmaps, weights, _, _ = quantize_layer_tensors(
-                *generator.layer_pair(layer))
+            ifmaps, weights = _q_pair(generator, layer)
             reference = conv2d_im2col(layer, ifmaps, weights)
             result = conv2d_winograd(layer, ifmaps, weights)
             assert np.array_equal(reference, result), layer.name
@@ -235,24 +227,6 @@ class TestFunctionalBackend:
         plain = conv2d_winograd(layer, ifmaps, weights)
         biased = conv2d_winograd(layer, ifmaps, weights, bias=bias)
         assert np.array_equal(biased, plain + bias[:, None, None])
-
-    def test_block_partition_is_bit_identical(self, generator):
-        for layer in (_eligible_layer(),
-                      _eligible_layer(in_channels=4, out_channels=6,
-                                      groups=2, in_height=10, in_width=12)):
-            ifmaps, weights = generator.layer_pair(layer)
-            whole = conv2d_winograd(layer, ifmaps, weights)
-            padded = pad_input(np.asarray(ifmaps, dtype=np.float64),
-                               layer.padding)
-            for blocks in (2, 3, layer.out_channels):
-                bounds = np.linspace(0, layer.out_channels, blocks + 1,
-                                     dtype=int)
-                assembled = np.zeros(layer.out_shape)
-                for m_start, m_stop in zip(bounds[:-1], bounds[1:]):
-                    winograd_ofmap_block(layer, padded, weights,
-                                         int(m_start), int(m_stop),
-                                         out=assembled)
-                assert np.array_equal(whole, assembled)
 
     def test_ineligible_layer_is_rejected(self, generator):
         strided = ConvLayer("s2", in_channels=3, out_channels=4, in_height=13,
@@ -269,27 +243,27 @@ class TestSimulator:
     def test_run_layer_winograd_matches_golden(self, generator):
         simulator = FunctionalChainSimulator(backend="vectorized")
         layer = _eligible_layer(in_channels=6, out_channels=8)
-        ifmaps, weights = generator.layer_pair(layer)
+        ifmaps, weights = _q_pair(generator, layer)
         result = simulator.run_layer(layer, ifmaps, weights,
                                      algorithm="winograd")
-        reference = conv2d_im2col(layer, ifmaps, weights)
-        error = float(np.max(np.abs(reference - result.ofmaps)))
-        assert error <= winograd_tolerance(reference)
+        assert np.array_equal(result.ofmaps,
+                              conv2d_im2col(layer, ifmaps, weights))
         tiles_h, tiles_w = winograd_tile_grid(layer)
         assert result.stats.windows_kept == \
             tiles_h * tiles_w * layer.channel_pairs()
 
-    def test_run_and_check_passes_with_documented_tolerance(self, generator):
+    def test_run_and_check_requires_bit_equality(self, generator):
         simulator = FunctionalChainSimulator(backend="vectorized")
         layer = _eligible_layer()
-        ifmaps, weights = generator.layer_pair(layer)
-        reference = conv2d_im2col(layer, ifmaps, weights)
-        tolerance = winograd_tolerance(reference)
-        # run_and_check raises on deviation; returning at all is the pass
+        ifmaps, weights = _q_pair(generator, layer)
+        # run_and_check raises on any deviation; returning at all is the pass
         report = simulator.run_and_check(layer, ifmaps, weights,
-                                         tolerance=tolerance,
                                          algorithm="winograd")
-        assert report["max_abs_error"] <= tolerance
+        assert report["max_abs_error"] == 0.0
+        # off the Q-format grid the reassociated reduction rounds: an error
+        with pytest.raises(SimulationError, match="expected exact"):
+            simulator.run_and_check(layer, *generator.layer_pair(layer),
+                                    algorithm="winograd")
 
     def test_unknown_algorithm_is_rejected(self, generator):
         simulator = FunctionalChainSimulator(backend="vectorized")
@@ -307,37 +281,7 @@ class TestSimulator:
         assert by_name["conv1"].algorithm == "direct"   # 11x11 stays direct
         for name in ("conv3", "conv4", "conv5"):
             assert by_name[name].algorithm == "winograd"
-            assert by_name[name].tolerance is not None
-            assert by_name[name].max_abs_error <= by_name[name].tolerance
-            # quantised runs are exact: Winograd verifies at tolerance 0
-            assert by_name[name].tolerance == 0.0
             assert by_name[name].max_abs_error == 0.0
-
-    def test_unquantized_runner_keeps_the_documented_tolerance(self):
-        network = Network(name="wino-float")
-        network.add(_eligible_layer(in_channels=4, out_channels=4))
-        result = FunctionalNetworkRunner(
-            algorithm="winograd", quantize_between_stages=False).run(network)
-        assert result.passed
-        (stage,) = result.conv_stages
-        assert stage.algorithm == "winograd"
-        assert stage.tolerance > 0.0
-        assert stage.max_abs_error <= stage.tolerance
-
-    def test_network_runner_parallel_matches_serial(self, monkeypatch):
-        from repro.runtime import pool as pool_module
-
-        monkeypatch.setenv(pool_module.FORCE_PARALLEL_ENV, "1")
-        network = get_network("alexnet")
-        serial = FunctionalNetworkRunner(algorithm="winograd").run(network)
-        with FunctionalNetworkRunner(algorithm="winograd",
-                                     workers=2) as runner:
-            parallel = runner.run(network)
-        assert serial.passed and parallel.passed
-        assert [s.max_abs_error for s in serial.stages] == \
-            [s.max_abs_error for s in parallel.stages]
-        assert [s.algorithm for s in serial.conv_stages] == \
-            [s.algorithm for s in parallel.conv_stages]
 
 
 # --------------------------------------------------------------------- #
@@ -521,6 +465,5 @@ class TestSearchNeverWorse:
                         if entry.candidate.is_winograd]
         assert wino_entries
         for entry in wino_entries:
-            assert entry.tolerance is not None
-            assert entry.max_abs_error <= entry.tolerance
+            assert entry.max_abs_error == 0.0
             assert entry.bit_identical
