@@ -303,28 +303,37 @@ class BatchSweepResult:
             out[name] = getattr(self, name)
         return out
 
+    def report_columns(self) -> Dict[str, np.ndarray]:
+        """The report table as columns, in report order (the sweep-table
+        format): the one definition of the report-row unit arithmetic."""
+        # overflow to inf without a warning, as the scalar float arithmetic does
+        with np.errstate(over="ignore"):
+            return {
+                "PEs": self.grid.num_pes.astype(np.int64),
+                "Freq (MHz)": self.grid.frequency_hz.astype(np.float64) / 1e6,
+                "batch": self.grid.batch.astype(np.int64),
+                "bits": self.grid.word_bits.astype(np.int64),
+                "Peak GOPS": self.peak_gops.astype(np.float64),
+                "Achieved GOPS": self.achieved_gops.astype(np.float64),
+                "fps": self.fps.astype(np.float64),
+                "Time/batch (ms)": self.total_time_per_batch_s.astype(np.float64) * 1e3,
+                "Power (W)": self.power_w.astype(np.float64),
+                "GOPS/W": self.gops_per_watt.astype(np.float64),
+                "worst-case util.": self.worst_case_utilization.astype(np.float64),
+                "Gates (k)": self.total_gates.astype(np.float64) / 1e3,
+            }
+
     def row(self, index: int) -> Dict[str, float]:
-        """One design point as a report row (the sweep-table format)."""
-        return {
-            "PEs": int(self.grid.num_pes[index]),
-            "Freq (MHz)": float(self.grid.frequency_hz[index]) / 1e6,
-            "batch": int(self.grid.batch[index]),
-            "bits": int(self.grid.word_bits[index]),
-            "Peak GOPS": float(self.peak_gops[index]),
-            "Achieved GOPS": float(self.achieved_gops[index]),
-            "fps": float(self.fps[index]),
-            "Time/batch (ms)": float(self.total_time_per_batch_s[index]) * 1e3,
-            "Power (W)": float(self.power_w[index]),
-            "GOPS/W": float(self.gops_per_watt[index]),
-            "worst-case util.": float(self.worst_case_utilization[index]),
-            "Gates (k)": float(self.total_gates[index]) / 1e3,
-        }
+        """One design point as a report row."""
+        return self.rows([index])[0]
 
     def rows(self, indices: Optional[Sequence[int]] = None) -> List[Dict[str, float]]:
         """Report rows for selected points (all points when ``indices`` is None)."""
-        if indices is None:
-            indices = range(self.n_points)
-        return [self.row(int(index)) for index in indices]
+        result = self if indices is None else self.take(np.asarray(indices, dtype=np.intp))
+        columns = result.report_columns()
+        names = list(columns)
+        return [dict(zip(names, values))
+                for values in zip(*(column.tolist() for column in columns.values()))]
 
     def labels(self, indices: Optional[Sequence[int]] = None) -> List[str]:
         """Human-readable point labels matching :meth:`rows`."""

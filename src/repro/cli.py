@@ -341,10 +341,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         fps = explorer.sweep_batch_size(base=base)
         if args.json:
-            print(json.dumps({"axis": "batch", "engine": args.engine,
-                              "network": args.network,
-                              "fps_by_batch": {str(b): v for b, v in fps.items()}},
-                             indent=2, sort_keys=True))
+            print(serve_payloads.dumps({
+                "axis": "batch", "engine": args.engine, "network": args.network,
+                "fps_by_batch": {str(b): v for b, v in fps.items()}}))
             return 0
         print(render_bar_chart({f"batch {b}": value for b, value in fps.items()},
                                title="fps vs batch size", unit=" fps"))
@@ -358,7 +357,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "parallel": args.parallel,
             "points": [{"label": point.label, **point.as_row()} for point in points],
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(serve_payloads.dumps(payload))
         return 0
     print(render_table([point.as_row() for point in points],
                        title=f"{args.axis} sweep on {args.network} ({args.engine})",
@@ -499,7 +498,7 @@ def cmd_networks(args: argparse.Namespace) -> int:
             "winograd_mac_coverage": coverage["mac_coverage"],
         }
     if args.json:
-        print(json.dumps(entries, indent=2, sort_keys=True))
+        print(serve_payloads.dumps(entries))
         return 0
     rows = {
         name: {

@@ -28,6 +28,7 @@ from repro.experiments.fig10 import Fig10Result, run_fig10
 from repro.experiments.table2 import Table2Result, run_table2
 from repro.experiments.table4 import Table4Result, run_table4
 from repro.experiments.table5 import Table5Result, run_table5
+from repro.serve import payloads as serve_payloads
 
 
 @dataclass(frozen=True)
@@ -821,7 +822,7 @@ def main(argv: Optional[list] = None) -> int:
         target = write_experiments_md(args.write_md, report)
         print(f"wrote {target}", file=sys.stderr)
     if args.json:
-        print(json.dumps(headline_json(report), indent=2, sort_keys=True))
+        print(serve_payloads.dumps(headline_json(report)))
     if args.write_md or args.json:
         return 0
     print(report.report())

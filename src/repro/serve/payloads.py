@@ -5,17 +5,27 @@ The service promises byte-identical responses to the equivalent
 tests alone, the payload construction itself is shared: the CLI handlers
 and the server routes both call these builders, so the two surfaces
 cannot drift.  Everything here is synchronous and asyncio-free.
+
+Sweep frontiers dominate the response bytes, and ``json.dumps`` with
+``indent`` runs CPython's pure-Python encoder one value at a time.  So
+:func:`grid_payload` hands its point lists over as :class:`ColumnTable`
+columns, and :func:`dumps` formats every row of such a table from one
+precomputed template.  Everything else still goes through ``json.dumps``,
+and the bytes are identical to dumping the equivalent list of row dicts.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from repro.analysis.batch import HIGHER_IS_BETTER
 
 __all__ = [
+    "ColumnTable",
     "GRID_ENGINE_UPGRADES",
     "dumps",
     "grid_payload",
@@ -39,9 +49,90 @@ def upgrade_grid_engine(name: str) -> str:
     return GRID_ENGINE_UPGRADES.get(name, name)
 
 
-def dumps(payload: Dict[str, Any]) -> str:
-    """The one JSON serialisation both surfaces print/transmit."""
+#: column dtypes whose ``tolist()`` values ``%r`` formats exactly as
+#: ``json.dumps`` does (finite floats only; bool is not int64)
+_TEMPLATE_DTYPES = (np.dtype(np.int64), np.dtype(np.float64))
+
+
+class ColumnTable:
+    """A list of flat rows held as one Python list per column.
+
+    JSON-encodes exactly like the list of row dicts :meth:`rows` returns.
+    Whether :func:`dumps` may format it from a row template is decided
+    once per column, from the NumPy dtype and a whole-column finiteness
+    check.
+    """
+
+    def __init__(self, columns: Mapping[str, np.ndarray]) -> None:
+        arrays = {name: np.asarray(column) for name, column in columns.items()}
+        lengths = {array.shape for array in arrays.values()}
+        if len(lengths) != 1 or len(next(iter(lengths))) != 1:
+            raise ValueError(
+                f"table columns must be 1D and equally long, got shapes {sorted(lengths)}")
+        self.names: Tuple[str, ...] = tuple(sorted(arrays))
+        self.columns: List[list] = [arrays[name].tolist() for name in self.names]
+        self.templated = all(
+            array.dtype in _TEMPLATE_DTYPES
+            and (array.dtype.kind != "f" or bool(np.isfinite(array).all()))
+            for array in arrays.values())
+
+    def rows(self) -> List[Dict[str, Any]]:
+        """The table as row dicts (keys in sorted order)."""
+        return [dict(zip(self.names, values)) for values in zip(*self.columns)]
+
+    def encode(self, level: int) -> str:
+        """The text ``json.dumps(self.rows(), indent=2, sort_keys=True)``
+        produces for this table nested ``level`` containers deep."""
+        if not self.columns[0]:
+            return "[]"
+        row_indent = "\n" + "  " * (level + 1)
+        key_indent = row_indent + "  "
+        template = "{" + ",".join(
+            key_indent + json.dumps(name).replace("%", "%%") + ": %r"
+            for name in self.names) + row_indent + "}"
+        rows = ("," + row_indent).join([template % values
+                                        for values in zip(*self.columns)])
+        return "[" + row_indent + rows + "\n" + "  " * level + "]"
+
+
+def _stub_tables(payload: Any,
+                 tables: Optional[List[Tuple[str, ColumnTable]]]) -> Any:
+    """Copy of ``payload`` with each templated table swapped for a unique
+    placeholder string (collected into ``tables``) and every other table
+    for its row dicts (all of them when ``tables`` is None)."""
+    if isinstance(payload, ColumnTable):
+        if tables is None or not payload.templated:
+            return payload.rows()
+        placeholder = f"\x00table{len(tables)}\x00"
+        tables.append((json.dumps(placeholder), payload))
+        return placeholder
+    if isinstance(payload, dict):
+        return {key: _stub_tables(value, tables) for key, value in payload.items()}
+    if isinstance(payload, (list, tuple)):
+        return [_stub_tables(value, tables) for value in payload]
+    return payload
+
+
+def _encode(payload: Any) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def dumps(payload: Any) -> str:
+    """The one JSON serialisation both surfaces print/transmit:
+    ``json.dumps(payload, indent=2, sort_keys=True)``, reading every
+    :class:`ColumnTable` as its list of row dicts."""
+    tables: List[Tuple[str, ColumnTable]] = []
+    text = _encode(_stub_tables(payload, tables))
+    for placeholder, table in tables:
+        if text.count(placeholder) != 1:
+            # some payload string equals a placeholder: no templating
+            return _encode(_stub_tables(payload, None))
+        start = text.index(placeholder)
+        # the placeholder's line indent is the table's nesting level
+        line = text[text.rfind("\n", 0, start) + 1:start]
+        level = (len(line) - len(line.lstrip(" "))) // 2
+        text = text[:start] + table.encode(level) + text[start + len(placeholder):]
+    return text
 
 
 def reduce_grid_result(result, objectives: Tuple[str, ...], metric: str,
@@ -76,9 +167,10 @@ def grid_payload(grid_spec: str, engine: str, network: str, result,
     }
     if pareto is not None:
         payload["pareto"] = {"objectives": list(objectives),
-                             "points": pareto.rows()}
+                             "points": ColumnTable(pareto.report_columns())}
     if top is not None:
-        payload["top"] = {"metric": metric, "points": top.rows()}
+        payload["top"] = {"metric": metric,
+                          "points": ColumnTable(top.report_columns())}
     return payload
 
 

@@ -269,11 +269,12 @@ class EvalServer:
         grid = DesignGrid.parse(params.grid, base=base,
                                 default_batch=params.batch)
         key = coalesce_key(engine_name, network, base)
-        self._contexts.setdefault(key, {
-            "engine": create_engine(engine_name),
-            "network": network,
-            "base": base,
-        })
+        if key not in self._contexts:
+            self._contexts[key] = {
+                "engine": create_engine(engine_name),
+                "network": network,
+                "base": base,
+            }
         result = await self.coalescer.submit(key, grid)
         _M_POINTS.inc(result.n_points)
         pareto, top = payloads.reduce_grid_result(

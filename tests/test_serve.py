@@ -440,6 +440,31 @@ class TestServerBitIdentity:
         metrics = json.loads(m_raw)["metrics"]
         assert metrics["serve.coalesced_batches"] >= 1
 
+    def test_sweep_engine_is_built_once_per_coalescing_key(self, monkeypatch):
+        import repro.serve.server as server_module
+
+        built = []
+
+        def counting_create_engine(name, **kwargs):
+            built.append(name)
+            return create_engine(name, **kwargs)
+
+        monkeypatch.setattr(server_module, "create_engine",
+                            counting_create_engine)
+
+        async def clients(server):
+            for grid in ("pe=128:256:64", "pe=512", "pe=128:256:64"):
+                status, _ = await request_json(
+                    server.host, server.port, "/v1/sweep", {"grid": grid})
+                assert status == 200
+            status, _ = await request_json(
+                server.host, server.port, "/v1/sweep",
+                {"grid": "pe=512", "engine": "analytical-detailed"})
+            assert status == 200
+
+        _serve(clients)
+        assert built == ["analytical-batch", "analytical-batch-detailed"]
+
 
 # --------------------------------------------------------------------- #
 # blocking client + `repro request` (server on a background thread)
