@@ -13,69 +13,44 @@ Quickstart
 >>> chip = ChainNN.paper_configuration()
 >>> chip.peak_gops
 806.4
+
+Public names resolve lazily (see :mod:`repro._lazy`): importing
+:mod:`repro` loads none of its subpackages.
 """
 
-from repro.cnn import (
-    ConvLayer,
-    Network,
-    WorkloadGenerator,
-    alexnet,
-    cifar10_quick,
-    get_network,
-    lenet5,
-    tiny_test_network,
-    vgg16,
-)
-from repro.core import (
-    ChainConfig,
-    ChainNN,
-    ColumnScanSchedule,
-    LayerMapper,
-    NetworkResult,
-    PerformanceModel,
-    SystolicPrimitive,
-    utilization_table,
-)
-from repro.energy import AreaModel, EnergyParams, PowerModel
-from repro.engine import (
-    Engine,
-    RunCache,
-    RunRecord,
-    SweepExecutor,
-    available_engines,
-    create_engine,
-)
-from repro.memory import TrafficModel
+from repro._lazy import lazy_exports
 
 __version__ = "1.6.0"
 
-__all__ = [
-    "__version__",
-    "available_engines",
-    "create_engine",
-    "ChainNN",
-    "Engine",
-    "RunCache",
-    "RunRecord",
-    "SweepExecutor",
-    "ChainConfig",
-    "ColumnScanSchedule",
-    "SystolicPrimitive",
-    "LayerMapper",
-    "PerformanceModel",
-    "NetworkResult",
-    "TrafficModel",
-    "PowerModel",
-    "EnergyParams",
-    "AreaModel",
-    "utilization_table",
-    "ConvLayer",
-    "Network",
-    "WorkloadGenerator",
-    "alexnet",
-    "vgg16",
-    "lenet5",
-    "cifar10_quick",
-    "tiny_test_network",
-    "get_network",
-]
+_EXPORTS = {
+    "available_engines": "repro.engine.registry",
+    "create_engine": "repro.engine.registry",
+    "ChainNN": "repro.core.accelerator",
+    "Engine": "repro.engine.base",
+    "RunCache": "repro.engine.cache",
+    "RunRecord": "repro.engine.base",
+    "SweepExecutor": "repro.engine.executor",
+    "ChainConfig": "repro.core.config",
+    "ColumnScanSchedule": "repro.core.scan",
+    "SystolicPrimitive": "repro.core.primitive",
+    "LayerMapper": "repro.core.mapper",
+    "PerformanceModel": "repro.core.performance",
+    "NetworkResult": "repro.core.accelerator",
+    "TrafficModel": "repro.memory.traffic",
+    "PowerModel": "repro.energy.power",
+    "EnergyParams": "repro.energy.components",
+    "AreaModel": "repro.energy.area",
+    "utilization_table": "repro.core.utilization",
+    "ConvLayer": "repro.cnn.layer",
+    "Network": "repro.cnn.network",
+    "WorkloadGenerator": "repro.cnn.generator",
+    "alexnet": "repro.cnn.zoo",
+    "vgg16": "repro.cnn.zoo",
+    "lenet5": "repro.cnn.zoo",
+    "cifar10_quick": "repro.cnn.zoo",
+    "tiny_test_network": "repro.cnn.zoo",
+    "get_network": "repro.cnn.zoo",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,38 +1,26 @@
 """Result generation: reports, the Table V comparison, sweeps and rooflines."""
 
-from repro.analysis.batch import (
-    BatchDesignEvaluator,
-    BatchSweepResult,
-    DesignGrid,
-)
-from repro.analysis.comparison import ComparisonResult, StateOfTheArtComparison
-from repro.analysis.pareto import pareto_indices, pareto_mask, top_k_indices
-from repro.analysis.report import (
-    format_cell,
-    render_bar_chart,
-    render_comparison,
-    render_dict_table,
-    render_table,
-)
-from repro.analysis.roofline import RooflineModel, RooflinePoint
-from repro.analysis.sweep import DesignSpaceExplorer, SweepPoint
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BatchDesignEvaluator",
-    "BatchSweepResult",
-    "ComparisonResult",
-    "DesignGrid",
-    "StateOfTheArtComparison",
-    "DesignSpaceExplorer",
-    "SweepPoint",
-    "RooflineModel",
-    "RooflinePoint",
-    "format_cell",
-    "pareto_indices",
-    "pareto_mask",
-    "render_table",
-    "render_dict_table",
-    "render_bar_chart",
-    "render_comparison",
-    "top_k_indices",
-]
+_EXPORTS = {
+    "BatchDesignEvaluator": "repro.analysis.batch",
+    "BatchSweepResult": "repro.analysis.batch",
+    "ComparisonResult": "repro.analysis.comparison",
+    "DesignGrid": "repro.analysis.batch",
+    "StateOfTheArtComparison": "repro.analysis.comparison",
+    "DesignSpaceExplorer": "repro.analysis.sweep",
+    "SweepPoint": "repro.analysis.sweep",
+    "RooflineModel": "repro.analysis.roofline",
+    "RooflinePoint": "repro.analysis.roofline",
+    "format_cell": "repro.analysis.report",
+    "pareto_indices": "repro.analysis.pareto",
+    "pareto_mask": "repro.analysis.pareto",
+    "render_table": "repro.analysis.report",
+    "render_dict_table": "repro.analysis.report",
+    "render_bar_chart": "repro.analysis.report",
+    "render_comparison": "repro.analysis.report",
+    "top_k_indices": "repro.analysis.pareto",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

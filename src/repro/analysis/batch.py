@@ -53,6 +53,7 @@ from repro.errors import ConfigurationError
 from repro.hwmodel.clock import ClockDomain
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+from repro.options import DEFAULT_OBJECTIVES  # noqa: F401  (re-exported)
 
 # columnar-path throughput counters (process-local: workers running grid
 # chunks feed their own registry and ship deltas with their results)
@@ -61,9 +62,6 @@ _M_CANDIDATES_SCORED = obs_metrics.counter("mapping.candidates_scored")
 
 #: grid-axis names accepted by :meth:`DesignGrid.parse`
 GRID_AXES = ("pe", "freq", "batch", "bits")
-
-#: default Pareto objectives (all minimised): latency vs. power vs. area
-DEFAULT_OBJECTIVES = ("total_time_per_batch_s", "power_w", "total_gates")
 
 #: metric columns where larger values are better; every other column is
 #: treated as lower-is-better by ranking/frontier consumers (the CLI)

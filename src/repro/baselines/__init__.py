@@ -1,32 +1,23 @@
 """Baseline architectures and published specs for the Table V comparison."""
 
-from repro.baselines.base import AcceleratorModel, AcceleratorSummary
-from repro.baselines.chain_nn_model import ChainNNModel
-from repro.baselines.memory_centric import MemoryCentricAccelerator, MemoryCentricParams
-from repro.baselines.single_channel import SingleChannelChain
-from repro.baselines.spatial_2d import Spatial2DAccelerator, Spatial2DParams
-from repro.baselines.specs import (
-    ALL_PUBLISHED_SPECS,
-    CHAIN_NN_SPEC,
-    DADIANNAO_SPEC,
-    EYERISS_SPEC,
-    PAPER_EFFICIENCY_RATIOS,
-    PublishedSpec,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AcceleratorModel",
-    "AcceleratorSummary",
-    "ChainNNModel",
-    "MemoryCentricAccelerator",
-    "MemoryCentricParams",
-    "Spatial2DAccelerator",
-    "Spatial2DParams",
-    "SingleChannelChain",
-    "PublishedSpec",
-    "ALL_PUBLISHED_SPECS",
-    "DADIANNAO_SPEC",
-    "EYERISS_SPEC",
-    "CHAIN_NN_SPEC",
-    "PAPER_EFFICIENCY_RATIOS",
-]
+_EXPORTS = {
+    "AcceleratorModel": "repro.baselines.base",
+    "AcceleratorSummary": "repro.baselines.base",
+    "ChainNNModel": "repro.baselines.chain_nn_model",
+    "MemoryCentricAccelerator": "repro.baselines.memory_centric",
+    "MemoryCentricParams": "repro.baselines.memory_centric",
+    "Spatial2DAccelerator": "repro.baselines.spatial_2d",
+    "Spatial2DParams": "repro.baselines.spatial_2d",
+    "SingleChannelChain": "repro.baselines.single_channel",
+    "PublishedSpec": "repro.baselines.specs",
+    "ALL_PUBLISHED_SPECS": "repro.baselines.specs",
+    "DADIANNAO_SPEC": "repro.baselines.specs",
+    "EYERISS_SPEC": "repro.baselines.specs",
+    "CHAIN_NN_SPEC": "repro.baselines.specs",
+    "PAPER_EFFICIENCY_RATIOS": "repro.baselines.specs",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

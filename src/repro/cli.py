@@ -74,41 +74,58 @@ import json
 import os
 import sys
 import time
-from typing import List, Optional
+from collections.abc import Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional
 
-import numpy as np
-
-from repro.analysis.batch import DEFAULT_OBJECTIVES
-from repro.analysis.winograd import network_winograd_coverage, winograd_eligible
-from repro.analysis.report import render_bar_chart, render_dict_table, render_table
-from repro.analysis.sweep import DesignSpaceExplorer
-from repro.cnn.generator import WorkloadGenerator
-from repro.cnn.layer import FullyConnectedLayer
 from repro.cnn.zoo import NETWORKS, get_network, tiny_test_network
-from repro.core.accelerator import ChainNN
-from repro.core.config import MAINSTREAM_KERNEL_SIZES, ChainConfig
-from repro.core.utilization import utilization_table
-from repro.engine import (
-    CACHE_DIR_ENV,
-    CACHE_MAX_MB_ENV,
-    INDEX_ENV,
-    RunCache,
-    available_engines,
-    create_engine,
-)
+from repro.core.config import ChainConfig
 from repro.errors import ConfigurationError, ReproError
 from repro.hwmodel.clock import ClockDomain
-from repro.mapping import OBJECTIVES, STRATEGIES, ScheduleOptimizer, make_strategy
-from repro.mapping.mapspace import ALGORITHM_MODES
 from repro.obs import trace as obs_trace
-from repro.obs.export import export_trace, render_summary, summarize_trace
 from repro.obs.metrics import REGISTRY, render_metrics
-from repro.runtime.supervisor import DEADLINE_ENV, RETRIES_ENV
-from repro.memory.traffic import TrafficModel
-from repro.serve import payloads as serve_payloads
-from repro.serve.protocol import DEFAULT_PORT
-from repro.sim.cycle import CYCLE_BACKENDS, CycleAccurateChainSimulator
-from repro.sim.network import FunctionalNetworkRunner
+from repro.options import (
+    ALGORITHM_MODES,
+    CACHE_DIR_ENV,
+    CACHE_MAX_MB_ENV,
+    CYCLE_BACKENDS,
+    DEADLINE_ENV,
+    DEFAULT_OBJECTIVES,
+    DEFAULT_PORT,
+    INDEX_ENV,
+    OBJECTIVES,
+    RETRIES_ENV,
+    STRATEGIES,
+)
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis.sweep import DesignSpaceExplorer
+    from repro.engine.cache import RunCache
+
+# Each handler imports the modules it runs: building the parser and
+# dispatching one command loads nothing another command needs.
+
+
+class _EngineChoices(Sequence):
+    """``--engine`` choices, read from the engine registry only when argparse
+    checks an ``--engine`` value or renders help, so commands without an
+    engine (``verify``, ``networks``, ...) never import :mod:`repro.engine`.
+
+    Arguments using it set a ``metavar``: without one, ``add_argument``
+    would list the choices while the parser is being built."""
+
+    def __init__(self, keep: Callable[[str], bool] = lambda name: True) -> None:
+        self._keep = keep
+
+    def _names(self) -> tuple:
+        from repro.engine.registry import available_engines
+
+        return tuple(name for name in available_engines() if self._keep(name))
+
+    def __getitem__(self, index):
+        return self._names()[index]
+
+    def __len__(self) -> int:
+        return len(self._names())
 
 
 def _config_from_args(args: argparse.Namespace) -> ChainConfig:
@@ -137,19 +154,23 @@ def _cache_from_args(args: argparse.Namespace) -> Optional[RunCache]:
     enables the default location, else caching stays off."""
     if getattr(args, "no_cache", False):
         return None
-    max_mb = getattr(args, "cache_max_mb", None)
     cache_dir = getattr(args, "cache_dir", None)
-    if cache_dir:
-        return RunCache(cache_dir, max_mb=max_mb)
-    if os.environ.get(CACHE_DIR_ENV):
-        return RunCache(max_mb=max_mb)
-    return None
+    if not cache_dir and not os.environ.get(CACHE_DIR_ENV):
+        return None
+    from repro.engine.cache import RunCache
+
+    return RunCache(cache_dir or None, max_mb=getattr(args, "cache_max_mb", None))
 
 
 # --------------------------------------------------------------------- #
 # sub-commands
 # --------------------------------------------------------------------- #
 def cmd_info(args: argparse.Namespace) -> int:
+    from repro.analysis.report import render_dict_table
+    from repro.core.accelerator import ChainNN
+    from repro.core.config import MAINSTREAM_KERNEL_SIZES
+    from repro.core.utilization import utilization_table
+
     config = _config_from_args(args)
     chip = ChainNN(config)
     print(chip.describe())
@@ -165,6 +186,8 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_engines(args: argparse.Namespace) -> int:
+    from repro.engine.registry import available_engines
+
     print("registered engines:")
     for name in available_engines():
         print(f"  {name}")
@@ -172,6 +195,11 @@ def cmd_engines(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from repro.analysis.report import render_bar_chart, render_dict_table, render_table
+    from repro.engine.registry import create_engine
+    from repro.memory.traffic import TrafficModel
+    from repro.serve import payloads as serve_payloads
+
     config = _config_from_args(args)
     network = get_network(args.network)
     engine_kwargs = {}
@@ -180,19 +208,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     elif args.mode is not None:
         expected = "detailed" if args.engine == "analytical-detailed" else None
         if args.mode != expected:
-            print(f"error: --mode {args.mode} conflicts with --engine {args.engine}",
-                  file=sys.stderr)
-            return 2
+            raise ConfigurationError(
+                f"--mode {args.mode} conflicts with --engine {args.engine}")
     if args.algorithm != "direct":
         # the algorithm axis exists where convolutions are actually executed
         # or mapped; the closed-form analytical engines model direct only
         algorithm_engines = ("functional", "functional-vectorized",
                              "analytical-mapped")
         if args.engine not in algorithm_engines:
-            print(f"error: --algorithm {args.algorithm} applies to "
-                  f"--engine {{{','.join(algorithm_engines)}}}, "
-                  f"not {args.engine}", file=sys.stderr)
-            return 2
+            raise ConfigurationError(
+                f"--algorithm {args.algorithm} applies to "
+                f"--engine {{{','.join(algorithm_engines)}}}, "
+                f"not {args.engine}")
         engine_kwargs["algorithm"] = args.algorithm
     engine = create_engine(args.engine, **engine_kwargs)
     record = engine.evaluate(network, config, batch=args.batch)
@@ -234,6 +261,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def _print_traffic(traffic) -> None:
     if traffic is not None:
+        from repro.analysis.report import render_dict_table
+
         print()
         print(render_dict_table(traffic.table(), title="Memory traffic (MB)",
                                 row_label="layer"))
@@ -256,7 +285,7 @@ def cmd_experiments(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_cache_counters(explorer: DesignSpaceExplorer) -> None:
+def _print_cache_counters(explorer: "DesignSpaceExplorer") -> None:
     """Surface the executor's cache hit/miss counters after a sweep."""
     cache = explorer.executor.cache
     if cache is None:
@@ -268,6 +297,10 @@ def _print_cache_counters(explorer: DesignSpaceExplorer) -> None:
 
 def cmd_sweep_grid(args: argparse.Namespace) -> int:
     """Dense-grid sweep through the columnar batch path."""
+    from repro.analysis.report import render_table
+    from repro.analysis.sweep import DesignSpaceExplorer
+    from repro.serve import payloads as serve_payloads
+
     if (getattr(args, "parallel", False) or getattr(args, "jobs", None)
             or getattr(args, "workers", None)):
         # grids run through the columnar evaluate_batch path (serial by
@@ -314,6 +347,10 @@ def cmd_sweep_grid(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.analysis.report import render_bar_chart, render_table
+    from repro.analysis.sweep import DesignSpaceExplorer
+    from repro.serve import payloads as serve_payloads
+
     if args.grid is not None and args.axis is not None:
         raise ConfigurationError("give either a sweep axis or --grid, not both")
     if args.grid is None and args.axis is None:
@@ -375,6 +412,8 @@ def cmd_pareto(args: argparse.Namespace) -> int:
 
 def cmd_cache(args: argparse.Namespace) -> int:
     """Inspect or clear the on-disk sweep result cache."""
+    from repro.engine.cache import RunCache
+
     # explicit None check: RunCache defines __len__, so an *empty* cache is
     # falsy and `or` would silently swap a --cache-dir selection for the
     # default root
@@ -431,13 +470,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.sim == "functional":
         return _verify_functional(args)
     if args.algorithm != "direct":
-        print("error: --algorithm applies to --sim functional only (the "
-              "cycle simulator executes the direct dataflow)", file=sys.stderr)
-        return 2
+        raise ConfigurationError(
+            "--algorithm applies to --sim functional only (the cycle "
+            "simulator executes the direct dataflow)")
     if args.network != "tiny":
-        print("error: --network applies to --sim functional only (the scalar "
-              "cycle cross-check is limited to the tiny network)", file=sys.stderr)
-        return 2
+        raise ConfigurationError(
+            "--network applies to --sim functional only (the scalar cycle "
+            "cross-check is limited to the tiny network)")
+    import numpy as np
+
+    from repro.cnn.generator import WorkloadGenerator
+    from repro.sim.cycle.engine import CycleAccurateChainSimulator
+
     config = _config_from_args(args)
     backend = args.backend or "both"
     backends = list(CYCLE_BACKENDS) if backend == "both" else [backend]
@@ -472,6 +516,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_networks(args: argparse.Namespace) -> int:
     """List the network zoo with layer counts, MACs and parameter totals."""
+    from repro.analysis.report import render_dict_table
+    from repro.analysis.winograd import network_winograd_coverage, winograd_eligible
+    from repro.cnn.layer import FullyConnectedLayer
+    from repro.serve import payloads as serve_payloads
+
     entries = {}
     for name in sorted(NETWORKS):
         network = get_network(name)
@@ -520,13 +569,16 @@ def cmd_map(args: argparse.Namespace) -> int:
     """Search the mapping space and report the optimised schedule."""
     # knobs that don't apply to the chosen strategy are errors, not no-ops
     if args.samples is not None and args.strategy != "random":
-        print(f"error: --samples applies to --strategy random only, "
-              f"not {args.strategy}", file=sys.stderr)
-        return 2
+        raise ConfigurationError(
+            f"--samples applies to --strategy random only, not {args.strategy}")
     if args.iterations is not None and args.strategy != "anneal":
-        print(f"error: --iterations applies to --strategy anneal only, "
-              f"not {args.strategy}", file=sys.stderr)
-        return 2
+        raise ConfigurationError(
+            f"--iterations applies to --strategy anneal only, "
+            f"not {args.strategy}")
+    from repro.mapping.optimizer import ScheduleOptimizer
+    from repro.mapping.strategies import make_strategy
+    from repro.serve import payloads as serve_payloads
+
     strategy_kwargs = {}
     if args.strategy in ("random", "anneal"):
         strategy_kwargs["seed"] = args.seed
@@ -608,6 +660,7 @@ def cmd_request(args: argparse.Namespace) -> int:
     The response body is printed exactly as the server produced it, which
     is byte-identical to the matching ``repro <command> --json`` output.
     """
+    from repro.serve import payloads as serve_payloads
     from repro.serve.client import ServeClient, ServeError
 
     try:
@@ -710,6 +763,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """Summarize a wall-clock trace file written by ``--trace``."""
+    from repro.obs.export import render_summary, summarize_trace
+
     try:
         summary = summarize_trace(args.path)
     except (OSError, ValueError) as error:
@@ -727,6 +782,8 @@ def _verify_functional(args: argparse.Namespace) -> int:
     (golden-checked against the im2col reference per layer), which keeps full
     AlexNet/VGG verification a seconds-scale operation.
     """
+    from repro.sim.network import FunctionalNetworkRunner
+
     network = (tiny_test_network() if args.network == "tiny"
                else get_network(args.network))
     backend = args.backend or ("both" if args.network == "tiny" else "vectorized")
@@ -778,8 +835,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--mode", choices=("paper", "detailed"), default=None,
                      help="analytical fidelity mode (paper-idealised or "
                           "register-level); only valid with analytical engines")
-    run.add_argument("--engine", choices=available_engines(), default="analytical",
-                     help="execution engine to dispatch through")
+    run.add_argument("--engine", choices=_EngineChoices(), default="analytical",
+                     metavar="ENGINE",
+                     help="execution engine to dispatch through: %(choices)s")
     run.add_argument("--json", action="store_true", help="emit the run record as JSON")
     run.add_argument("--traffic", action="store_true", help="also print the traffic table")
     run.add_argument("--algorithm", choices=ALGORITHM_MODES, default="direct",
@@ -795,16 +853,18 @@ def build_parser() -> argparse.ArgumentParser:
     experiments.add_argument("--write-md", nargs="?", const="EXPERIMENTS.md", default=None,
                              metavar="PATH", help="write EXPERIMENTS.md and exit")
 
-    config_sensitive = tuple(name for name in available_engines()
-                             if not name.startswith("baseline-"))
+    config_sensitive = _EngineChoices(
+        lambda name: not name.startswith("baseline-"))
 
     def add_grid_arguments(parser: argparse.ArgumentParser,
                            pareto_implied: bool) -> None:
         parser.add_argument("--network", default="alexnet", choices=sorted(NETWORKS))
         parser.add_argument("--batch", type=int, default=16)
         parser.add_argument("--engine", choices=config_sensitive, default="analytical",
-                            help="engine evaluating each design point (baselines are "
-                                 "fixed architectures and cannot be swept); grids "
+                            metavar="ENGINE",
+                            help="engine evaluating each design point: "
+                                 "%(choices)s (baselines are fixed "
+                                 "architectures and cannot be swept); grids "
                                  "upgrade 'analytical' to the columnar "
                                  "'analytical-batch' fast path")
         parser.add_argument("--grid", default=None if not pareto_implied
@@ -1085,6 +1145,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command in ("sweep", "pareto", "map"):
         _print_stats_footer(args, wall_s)
     if args.trace:
+        from repro.obs.export import export_trace
+
         events = export_trace(args.trace)
         print(f"[obs] wrote {events} trace events to {args.trace} — load in "
               "Perfetto (ui.perfetto.dev) or chrome://tracing, or run "

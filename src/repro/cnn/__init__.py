@@ -1,57 +1,34 @@
 """CNN workload substrate: layer specs, network zoo, references, quantisation."""
 
-from repro.cnn.generator import TensorStats, WorkloadGenerator
-from repro.cnn.layer import ConvLayer, FullyConnectedLayer, PoolingLayer
-from repro.cnn.network import Network, validate_chaining
-from repro.cnn.quantize import (
-    QuantizationResult,
-    bit_width_sweep,
-    choose_format,
-    evaluate_layer_quantization,
-    quantize_layer_tensors,
-)
-from repro.cnn.reference import (
-    conv2d_direct,
-    conv2d_im2col,
-    conv2d_single_channel,
-    pad_input,
-    strided_windows,
-)
-from repro.cnn.tensor import FeatureMap
-from repro.cnn.zoo import (
-    NETWORKS,
-    alexnet,
-    cifar10_quick,
-    get_network,
-    lenet5,
-    tiny_test_network,
-    vgg16,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ConvLayer",
-    "FullyConnectedLayer",
-    "PoolingLayer",
-    "Network",
-    "validate_chaining",
-    "FeatureMap",
-    "WorkloadGenerator",
-    "TensorStats",
-    "QuantizationResult",
-    "bit_width_sweep",
-    "choose_format",
-    "evaluate_layer_quantization",
-    "quantize_layer_tensors",
-    "conv2d_direct",
-    "conv2d_im2col",
-    "conv2d_single_channel",
-    "pad_input",
-    "strided_windows",
-    "NETWORKS",
-    "alexnet",
-    "vgg16",
-    "lenet5",
-    "cifar10_quick",
-    "tiny_test_network",
-    "get_network",
-]
+_EXPORTS = {
+    "ConvLayer": "repro.cnn.layer",
+    "FullyConnectedLayer": "repro.cnn.layer",
+    "PoolingLayer": "repro.cnn.layer",
+    "Network": "repro.cnn.network",
+    "validate_chaining": "repro.cnn.network",
+    "FeatureMap": "repro.cnn.tensor",
+    "WorkloadGenerator": "repro.cnn.generator",
+    "TensorStats": "repro.cnn.generator",
+    "QuantizationResult": "repro.cnn.quantize",
+    "bit_width_sweep": "repro.cnn.quantize",
+    "choose_format": "repro.cnn.quantize",
+    "evaluate_layer_quantization": "repro.cnn.quantize",
+    "quantize_layer_tensors": "repro.cnn.quantize",
+    "conv2d_direct": "repro.cnn.reference",
+    "conv2d_im2col": "repro.cnn.reference",
+    "conv2d_single_channel": "repro.cnn.reference",
+    "pad_input": "repro.cnn.reference",
+    "strided_windows": "repro.cnn.reference",
+    "NETWORKS": "repro.cnn.zoo",
+    "alexnet": "repro.cnn.zoo",
+    "vgg16": "repro.cnn.zoo",
+    "lenet5": "repro.cnn.zoo",
+    "cifar10_quick": "repro.cnn.zoo",
+    "tiny_test_network": "repro.cnn.zoo",
+    "get_network": "repro.cnn.zoo",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -11,64 +11,38 @@ on-disk result cache and a parallel sweep executor.
 True
 """
 
-from repro.engine.adapters import (
-    DEFAULT_ENGINES,
-    AnalyticalBatchEngine,
-    AnalyticalEngine,
-    BaselineEngine,
-    CycleEngine,
-    FunctionalEngine,
-    MappedAnalyticalEngine,
-    summary_from_record,
-    worst_case_utilization,
-)
-from repro.engine.base import Engine, RunRecord
-from repro.engine.cache import (
-    CACHE_DIR_ENV,
-    CACHE_MAX_MB_ENV,
-    RunCache,
-    default_cache_dir,
-    grid_key,
-    run_key,
-    workload_fingerprint,
-)
-from repro.engine.cache_index import INDEX_ENV, CacheIndex, index_enabled
-from repro.engine.executor import GRID_CHUNK_POINTS, SweepExecutor
-from repro.engine.registry import (
-    available_engines,
-    create_engine,
-    engine_registered,
-    register_engine,
-    unregister_engine,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AnalyticalBatchEngine",
-    "AnalyticalEngine",
-    "BaselineEngine",
-    "CACHE_DIR_ENV",
-    "CACHE_MAX_MB_ENV",
-    "CacheIndex",
-    "CycleEngine",
-    "INDEX_ENV",
-    "index_enabled",
-    "DEFAULT_ENGINES",
-    "Engine",
-    "FunctionalEngine",
-    "GRID_CHUNK_POINTS",
-    "MappedAnalyticalEngine",
-    "RunCache",
-    "RunRecord",
-    "SweepExecutor",
-    "grid_key",
-    "available_engines",
-    "create_engine",
-    "default_cache_dir",
-    "engine_registered",
-    "register_engine",
-    "run_key",
-    "summary_from_record",
-    "unregister_engine",
-    "workload_fingerprint",
-    "worst_case_utilization",
-]
+_EXPORTS = {
+    "AnalyticalBatchEngine": "repro.engine.adapters",
+    "AnalyticalEngine": "repro.engine.adapters",
+    "BaselineEngine": "repro.engine.adapters",
+    "CACHE_DIR_ENV": "repro.options",
+    "CACHE_MAX_MB_ENV": "repro.options",
+    "CacheIndex": "repro.engine.cache_index",
+    "CycleEngine": "repro.engine.adapters",
+    "INDEX_ENV": "repro.options",
+    "index_enabled": "repro.engine.cache_index",
+    "DEFAULT_ENGINES": "repro.engine.registry",
+    "Engine": "repro.engine.base",
+    "FunctionalEngine": "repro.engine.adapters",
+    "GRID_CHUNK_POINTS": "repro.engine.executor",
+    "MappedAnalyticalEngine": "repro.engine.adapters",
+    "RunCache": "repro.engine.cache",
+    "RunRecord": "repro.engine.base",
+    "SweepExecutor": "repro.engine.executor",
+    "grid_key": "repro.engine.cache",
+    "available_engines": "repro.engine.registry",
+    "create_engine": "repro.engine.registry",
+    "default_cache_dir": "repro.engine.cache",
+    "engine_registered": "repro.engine.registry",
+    "register_engine": "repro.engine.registry",
+    "run_key": "repro.engine.cache",
+    "summary_from_record": "repro.engine.adapters",
+    "unregister_engine": "repro.engine.registry",
+    "workload_fingerprint": "repro.engine.cache",
+    "worst_case_utilization": "repro.engine.adapters",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -17,8 +17,8 @@
   (Chain-NN itself, the memory-centric DaDianNao-like and the 2D spatial
   Eyeriss-like baselines of Table V).
 
-Importing this module registers the default engine names listed in
-:data:`DEFAULT_ENGINES`.
+The ``_make_*`` factories below are the built-in engines, resolved by name
+through :data:`repro.engine.registry.DEFAULT_ENGINES`.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from repro.core.utilization import minimum_utilization
 from repro.energy.area import AreaModel
 from repro.engine.base import Engine, RunRecord
 from repro.engine.cache import canonical_json, config_fingerprint, workload_fingerprint
-from repro.engine.registry import register_engine
 from repro.sim.cycle import CycleAccurateChainSimulator
 from repro.sim.functional import FunctionalChainSimulator
 from repro.sim.network import DATAPATH_BITS, check_accumulator_bits
@@ -547,7 +546,7 @@ def summary_from_record(record: RunRecord) -> AcceleratorSummary:
 
 
 # --------------------------------------------------------------------- #
-# default registrations
+# built-in engine factories (named in registry.DEFAULT_ENGINES)
 # --------------------------------------------------------------------- #
 def _make_analytical(**kwargs) -> AnalyticalEngine:
     return AnalyticalEngine(**kwargs)
@@ -603,23 +602,3 @@ def _make_baseline_eyeriss(**kwargs) -> BaselineEngine:
 def _make_baseline_dadiannao(**kwargs) -> BaselineEngine:
     return BaselineEngine(MemoryCentricAccelerator(),
                           name="baseline-dadiannao", **kwargs)
-
-
-#: engines registered on import, keyed by registry name
-DEFAULT_ENGINES = {
-    "analytical": _make_analytical,
-    "analytical-detailed": _make_analytical_detailed,
-    "analytical-batch": _make_analytical_batch,
-    "analytical-batch-detailed": _make_analytical_batch_detailed,
-    "analytical-mapped": _make_analytical_mapped,
-    "cycle": _make_cycle,
-    "cycle-scalar": _make_cycle_scalar,
-    "functional": _make_functional,
-    "functional-vectorized": _make_functional_vectorized,
-    "baseline-chain-nn": _make_baseline_chain_nn,
-    "baseline-eyeriss": _make_baseline_eyeriss,
-    "baseline-dadiannao": _make_baseline_dadiannao,
-}
-
-for _name, _factory in DEFAULT_ENGINES.items():
-    register_engine(_name, _factory)

@@ -56,6 +56,7 @@ from repro.core.config import ChainConfig
 from repro.engine.base import Engine, RunRecord
 from repro.engine.cache_index import CacheIndex, index_enabled
 from repro.obs import metrics as obs_metrics
+from repro.options import CACHE_DIR_ENV, CACHE_MAX_MB_ENV
 
 # process-wide observability mirrors of the per-instance counters below
 # (bound once: repro.obs.metrics memoises by name and reset() zeroes in place)
@@ -70,13 +71,6 @@ try:  # POSIX advisory locking; other platforms fall back to lock-free mode
     import fcntl
 except ImportError:  # pragma: no cover - platform dependent
     fcntl = None
-
-#: environment variable overriding the default cache location
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-#: environment variable providing a default size bound (in MB) for caches
-#: constructed without an explicit ``max_mb``
-CACHE_MAX_MB_ENV = "REPRO_CACHE_MAX_MB"
 
 #: cache-key schema generation — bump whenever model code changes in a way
 #: that should invalidate previously cached results (keys also embed the

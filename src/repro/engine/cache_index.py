@@ -39,14 +39,12 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs import metrics as obs_metrics
+from repro.options import INDEX_ENV
 
 __all__ = ["CacheIndex", "INDEX_FILENAME", "INDEX_ENV", "index_enabled"]
 
 #: the index database, stored beside the record files it indexes
 INDEX_FILENAME = "index.db"
-
-#: set to ``0`` to disable the sqlite index (directory walks throughout)
-INDEX_ENV = "REPRO_CACHE_INDEX"
 
 #: how long one statement waits on a locked database before the index
 #: degrades (WAL keeps writers brief, so contention this long is a hang)

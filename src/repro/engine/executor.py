@@ -33,7 +33,7 @@ from repro.engine.cache import (
     run_key,
     workload_fingerprint,
 )
-from repro.engine.registry import create_engine
+from repro.engine.registry import DEFAULT_ENGINES, create_engine
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime import ParallelRuntime, WorkerError, shared_runtime
@@ -79,11 +79,9 @@ class SweepExecutor:
             self.engine_name = engine
             self.engine_kwargs = dict(engine_kwargs or {})
             self._engine = None
-            # only the default engines are re-registered when a worker imports
-            # repro.engine; custom registrations would be missing under the
-            # spawn/forkserver start methods, so those engines stay serial
-            from repro.engine.adapters import DEFAULT_ENGINES
-
+            # only the built-in engines resolve by name in any worker; custom
+            # registrations would be missing under the spawn/forkserver start
+            # methods, so those engines stay serial
             self._parallelizable = engine in DEFAULT_ENGINES
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")

@@ -12,26 +12,23 @@ combinational outputs are recomputed from the current state, which is exactly
 the level the paper's ModelSim functional simulation validates.
 """
 
-from repro.hwmodel.clock import ClockDomain
-from repro.hwmodel.fixed_point import FixedPointFormat, quantize_array, quantize_value
-from repro.hwmodel.mac import MacUnit
-from repro.hwmodel.memory import RegisterFile, Sram
-from repro.hwmodel.mux import Mux
-from repro.hwmodel.register import Pipeline, Register, ShiftRegister
-from repro.hwmodel.simulator import ClockedComponent, CycleSimulator
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ClockDomain",
-    "ClockedComponent",
-    "CycleSimulator",
-    "FixedPointFormat",
-    "MacUnit",
-    "Mux",
-    "Pipeline",
-    "Register",
-    "RegisterFile",
-    "ShiftRegister",
-    "Sram",
-    "quantize_array",
-    "quantize_value",
-]
+_EXPORTS = {
+    "ClockDomain": "repro.hwmodel.clock",
+    "ClockedComponent": "repro.hwmodel.simulator",
+    "CycleSimulator": "repro.hwmodel.simulator",
+    "FixedPointFormat": "repro.hwmodel.fixed_point",
+    "MacUnit": "repro.hwmodel.mac",
+    "Mux": "repro.hwmodel.mux",
+    "Pipeline": "repro.hwmodel.register",
+    "Register": "repro.hwmodel.register",
+    "RegisterFile": "repro.hwmodel.memory",
+    "ShiftRegister": "repro.hwmodel.register",
+    "Sram": "repro.hwmodel.memory",
+    "quantize_array": "repro.hwmodel.fixed_point",
+    "quantize_value": "repro.hwmodel.fixed_point",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

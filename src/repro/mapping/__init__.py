@@ -24,48 +24,28 @@ layer per millisecond-scale call) and whole searches are memoised in
 :class:`repro.engine.cache.RunCache`.
 """
 
-from repro.mapping.mapspace import (
-    INTERLEAVES,
-    CandidateTable,
-    LayerMapSpace,
-    MappingCandidate,
-    MapSpace,
-)
-from repro.mapping.optimizer import (
-    OBJECTIVES,
-    LayerSchedule,
-    MappingVerification,
-    OptimizedSchedule,
-    ScheduleOptimizer,
-)
-from repro.mapping.strategies import (
-    STRATEGIES,
-    AnnealStrategy,
-    ExhaustiveStrategy,
-    GreedyStrategy,
-    RandomStrategy,
-    SearchResult,
-    Strategy,
-    make_strategy,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "INTERLEAVES",
-    "CandidateTable",
-    "LayerMapSpace",
-    "MapSpace",
-    "MappingCandidate",
-    "OBJECTIVES",
-    "LayerSchedule",
-    "MappingVerification",
-    "OptimizedSchedule",
-    "ScheduleOptimizer",
-    "STRATEGIES",
-    "AnnealStrategy",
-    "ExhaustiveStrategy",
-    "GreedyStrategy",
-    "RandomStrategy",
-    "SearchResult",
-    "Strategy",
-    "make_strategy",
-]
+_EXPORTS = {
+    "INTERLEAVES": "repro.mapping.mapspace",
+    "CandidateTable": "repro.mapping.mapspace",
+    "LayerMapSpace": "repro.mapping.mapspace",
+    "MapSpace": "repro.mapping.mapspace",
+    "MappingCandidate": "repro.mapping.mapspace",
+    "OBJECTIVES": "repro.options",
+    "LayerSchedule": "repro.mapping.optimizer",
+    "MappingVerification": "repro.mapping.optimizer",
+    "OptimizedSchedule": "repro.mapping.optimizer",
+    "ScheduleOptimizer": "repro.mapping.optimizer",
+    "STRATEGIES": "repro.options",
+    "AnnealStrategy": "repro.mapping.strategies",
+    "ExhaustiveStrategy": "repro.mapping.strategies",
+    "GreedyStrategy": "repro.mapping.strategies",
+    "RandomStrategy": "repro.mapping.strategies",
+    "SearchResult": "repro.mapping.strategies",
+    "Strategy": "repro.mapping.strategies",
+    "make_strategy": "repro.mapping.strategies",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

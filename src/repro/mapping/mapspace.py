@@ -77,6 +77,7 @@ from repro.core.config import ChainConfig
 from repro.core.mapper import LayerMapper
 from repro.errors import MappingError
 from repro.obs import metrics as obs_metrics
+from repro.options import ALGORITHM_MODES
 
 # enumeration counters: "pruned" counts the candidates the analytic bounds
 # removed relative to the unpruned cross-product (full_size - pruned_size)
@@ -88,9 +89,6 @@ INTERLEAVES = ("batch", "image")
 
 #: execution algorithms a candidate can select
 ALGORITHMS = ("direct", "winograd")
-
-#: algorithm-axis modes a mapspace (and the optimizer/CLI) accepts
-ALGORITHM_MODES = ("direct", "winograd", "auto")
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,6 @@ from repro.engine.cache import (
 )
 from repro.errors import ConfigurationError
 from repro.mapping.mapspace import (
-    ALGORITHM_MODES,
     CandidateTable,
     LayerMapSpace,
     MappingCandidate,
@@ -59,6 +58,7 @@ from repro.mapping.mapspace import (
 from repro.mapping.strategies import SearchResult, Strategy, make_strategy
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+from repro.options import ALGORITHM_MODES, OBJECTIVES
 from repro.runtime import WorkerError, shared_runtime
 from repro.sim.functional import FunctionalChainSimulator
 from repro.sim.network import DATAPATH_BITS, check_accumulator_bits
@@ -70,14 +70,6 @@ from repro.sim.network import DATAPATH_BITS, check_accumulator_bits
 _M_LAYERS_SEARCHED = obs_metrics.counter("mapping.layers_searched")
 _M_CANDIDATES_SEARCHED = obs_metrics.counter("mapping.candidates_searched")
 _M_SCHEDULE_CACHE_HITS = obs_metrics.counter("mapping.schedule_cache_hits")
-
-#: objective name -> per-layer proxy column of MAPPING_RESULT_COLUMNS
-OBJECTIVES: Dict[str, str] = {
-    "latency": "first_image_latency_s",
-    "throughput": "time_per_batch_s",
-    "energy": "energy_per_batch_j",
-    "edp": "edp_js",
-}
 
 
 def network_objective(objective: str,

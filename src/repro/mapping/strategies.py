@@ -33,9 +33,7 @@ from repro.mapping.mapspace import (
     LayerMapSpace,
     MappingCandidate,
 )
-
-#: strategy registry names accepted by :func:`make_strategy` and the CLI
-STRATEGIES = ("exhaustive", "random", "greedy", "anneal")
+from repro.options import STRATEGIES
 
 Scorer = Callable[[CandidateTable], np.ndarray]
 

@@ -1,18 +1,18 @@
 """Memory-hierarchy substrate: DRAM, on-chip SRAMs, traffic and bandwidth models."""
 
-from repro.memory.bandwidth import BandwidthAnalyzer, LayerBandwidth
-from repro.memory.dram import Dram, DramSpec
-from repro.memory.hierarchy import HierarchySizes, MemoryHierarchy
-from repro.memory.traffic import LayerTraffic, NetworkTraffic, TrafficModel
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BandwidthAnalyzer",
-    "LayerBandwidth",
-    "Dram",
-    "DramSpec",
-    "HierarchySizes",
-    "MemoryHierarchy",
-    "LayerTraffic",
-    "NetworkTraffic",
-    "TrafficModel",
-]
+_EXPORTS = {
+    "BandwidthAnalyzer": "repro.memory.bandwidth",
+    "LayerBandwidth": "repro.memory.bandwidth",
+    "Dram": "repro.memory.dram",
+    "DramSpec": "repro.memory.dram",
+    "HierarchySizes": "repro.memory.hierarchy",
+    "MemoryHierarchy": "repro.memory.hierarchy",
+    "LayerTraffic": "repro.memory.traffic",
+    "NetworkTraffic": "repro.memory.traffic",
+    "TrafficModel": "repro.memory.traffic",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

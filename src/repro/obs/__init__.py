@@ -27,72 +27,40 @@ programmatically::
     obs.export_trace("trace.json")
 """
 
-from repro.obs import metrics
-from repro.obs import trace
-from repro.obs.export import (
-    export_trace,
-    load_trace,
-    render_summary,
-    summarize_trace,
-    validate_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
-)
-from repro.obs.metrics import (
-    REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    counter,
-    gauge,
-    histogram,
-    render_metrics,
-)
-from repro.obs.trace import (
-    TRACE_ENV,
-    TraceRecorder,
-    absorb,
-    disable,
-    enable,
-    enabled,
-    get_recorder,
-    instant,
-    ship,
-    span,
-    traced,
-    worker_init,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "metrics",
-    "trace",
-    "REGISTRY",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "counter",
-    "gauge",
-    "histogram",
-    "render_metrics",
-    "TRACE_ENV",
-    "TraceRecorder",
-    "absorb",
-    "disable",
-    "enable",
-    "enabled",
-    "get_recorder",
-    "instant",
-    "ship",
-    "span",
-    "traced",
-    "worker_init",
-    "export_trace",
-    "load_trace",
-    "render_summary",
-    "summarize_trace",
-    "validate_chrome_trace",
-    "write_chrome_trace",
-    "write_jsonl",
-]
+_EXPORTS = {
+    "metrics": "repro.obs.metrics",
+    "trace": "repro.obs.trace",
+    "REGISTRY": "repro.obs.metrics",
+    "Counter": "repro.obs.metrics",
+    "Gauge": "repro.obs.metrics",
+    "Histogram": "repro.obs.metrics",
+    "MetricsRegistry": "repro.obs.metrics",
+    "counter": "repro.obs.metrics",
+    "gauge": "repro.obs.metrics",
+    "histogram": "repro.obs.metrics",
+    "render_metrics": "repro.obs.metrics",
+    "TRACE_ENV": "repro.obs.trace",
+    "TraceRecorder": "repro.obs.trace",
+    "absorb": "repro.obs.trace",
+    "disable": "repro.obs.trace",
+    "enable": "repro.obs.trace",
+    "enabled": "repro.obs.trace",
+    "get_recorder": "repro.obs.trace",
+    "instant": "repro.obs.trace",
+    "ship": "repro.obs.trace",
+    "span": "repro.obs.trace",
+    "traced": "repro.obs.trace",
+    "worker_init": "repro.obs.trace",
+    "export_trace": "repro.obs.export",
+    "load_trace": "repro.obs.export",
+    "render_summary": "repro.obs.export",
+    "summarize_trace": "repro.obs.export",
+    "validate_chrome_trace": "repro.obs.export",
+    "write_chrome_trace": "repro.obs.export",
+    "write_jsonl": "repro.obs.export",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -24,41 +24,25 @@ their serial and parallel paths; the runtime only changes wall-clock time —
 even when workers crash or hang mid-run.
 """
 
-from repro.runtime.faults import (
-    FAULT_SPEC_ENV,
-    FaultPlan,
-    FaultRule,
-    FaultSpecError,
-)
-from repro.runtime.pool import (
-    LazyRuntime,
-    ParallelRuntime,
-    WorkerError,
-    resolve_workers,
-    shared_runtime,
-)
-from repro.runtime.supervisor import (
-    RetryPolicy,
-    SupervisedRuntime,
-    SupervisionStats,
-    TaskFailure,
-)
-from repro.runtime.tasks import TASKS, task
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FAULT_SPEC_ENV",
-    "FaultPlan",
-    "FaultRule",
-    "FaultSpecError",
-    "LazyRuntime",
-    "ParallelRuntime",
-    "shared_runtime",
-    "RetryPolicy",
-    "SupervisedRuntime",
-    "SupervisionStats",
-    "TASKS",
-    "TaskFailure",
-    "WorkerError",
-    "resolve_workers",
-    "task",
-]
+_EXPORTS = {
+    "FAULT_SPEC_ENV": "repro.runtime.faults",
+    "FaultPlan": "repro.runtime.faults",
+    "FaultRule": "repro.runtime.faults",
+    "FaultSpecError": "repro.runtime.faults",
+    "LazyRuntime": "repro.runtime.pool",
+    "ParallelRuntime": "repro.runtime.pool",
+    "shared_runtime": "repro.runtime.pool",
+    "RetryPolicy": "repro.runtime.supervisor",
+    "SupervisedRuntime": "repro.runtime.supervisor",
+    "SupervisionStats": "repro.runtime.supervisor",
+    "TASKS": "repro.runtime.tasks",
+    "TaskFailure": "repro.runtime.supervisor",
+    "WorkerError": "repro.runtime.pool",
+    "resolve_workers": "repro.runtime.pool",
+    "task": "repro.runtime.tasks",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

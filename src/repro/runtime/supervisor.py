@@ -47,6 +47,7 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import REGISTRY
+from repro.options import DEADLINE_ENV, RETRIES_ENV
 from repro.runtime.pool import (
     _JOIN_SECONDS,
     _POLL_SECONDS,
@@ -54,12 +55,6 @@ from repro.runtime.pool import (
     WorkerError,
 )
 from repro.runtime.tasks import TASKS
-
-#: seconds one task attempt may hold a worker before it is killed/retried
-DEADLINE_ENV = "REPRO_TASK_DEADLINE"
-
-#: attempts per task before quarantine (overrides RetryPolicy.max_attempts)
-RETRIES_ENV = "REPRO_TASK_RETRIES"
 
 #: tasks queued per worker beyond the running one; small keeps the requeue
 #: set small on death, >0 keeps workers busy without a round-trip stall

@@ -17,40 +17,24 @@ into a long-running service:
 * :mod:`repro.serve.client` — blocking and asyncio clients
   (``repro request`` uses the blocking one).
 
-Attributes resolve lazily so importing the package (e.g. for the CLI's
-payload builders) does not drag in the server module.
+Attributes resolve lazily (see :mod:`repro._lazy`), so importing the
+package (e.g. for the CLI's payload builders) does not drag in the server
+module.
 """
 
-from importlib import import_module
-
-__all__ = [
-    "Coalescer",
-    "DEFAULT_PORT",
-    "EvalServer",
-    "ProtocolError",
-    "ServeClient",
-    "ServeError",
-    "merge_grids",
-    "request_json",
-    "scatter_result",
-]
+from repro._lazy import lazy_exports
 
 _EXPORTS = {
     "Coalescer": "repro.serve.coalesce",
-    "merge_grids": "repro.serve.coalesce",
-    "scatter_result": "repro.serve.coalesce",
-    "DEFAULT_PORT": "repro.serve.protocol",
-    "ProtocolError": "repro.serve.protocol",
+    "DEFAULT_PORT": "repro.options",
     "EvalServer": "repro.serve.server",
+    "ProtocolError": "repro.serve.protocol",
     "ServeClient": "repro.serve.client",
     "ServeError": "repro.serve.client",
+    "merge_grids": "repro.serve.coalesce",
     "request_json": "repro.serve.client",
+    "scatter_result": "repro.serve.coalesce",
 }
 
-
-def __getattr__(name: str):
-    try:
-        module = import_module(_EXPORTS[name])
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(module, name)
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

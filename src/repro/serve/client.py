@@ -16,7 +16,7 @@ import http.client
 import json
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.serve.protocol import DEFAULT_PORT
+from repro.options import DEFAULT_PORT
 
 __all__ = ["ServeClient", "ServeError", "request_json"]
 

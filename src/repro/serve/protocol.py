@@ -20,7 +20,6 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Optional, Tuple
 
-from repro.analysis.batch import DEFAULT_OBJECTIVES
 from repro.core.config import ChainConfig, ClockDomain
 from repro.engine.cache import (
     CACHE_SCHEMA,
@@ -28,6 +27,7 @@ from repro.engine.cache import (
     config_fingerprint,
     workload_fingerprint,
 )
+from repro.options import DEFAULT_OBJECTIVES, DEFAULT_PORT
 
 __all__ = [
     "DEFAULT_PORT",
@@ -45,10 +45,6 @@ __all__ = [
     "read_http_request",
     "start_chunked",
 ]
-
-#: default service port ("repro" → 0x7265 % 56000... just a fixed
-#: uncommon port; override with --port / REPRO_SERVE_PORT)
-DEFAULT_PORT = 8347
 
 #: request bodies past this size are refused (grids are specs, not data)
 MAX_BODY_BYTES = 8 * 1024 * 1024

@@ -32,18 +32,20 @@ from typing import Any, Callable, Dict, Optional, Set, Tuple
 from repro import __version__
 from repro.analysis.batch import DesignGrid
 from repro.cnn.zoo import NETWORKS, get_network, tiny_test_network
-from repro.engine import available_engines, create_engine
+# the adapters load here, once, rather than inside the first request
+# (and never while a pool forks under a thread that is importing)
+import repro.engine.adapters  # noqa: F401
 from repro.engine.cache import RunCache
+from repro.engine.registry import available_engines, create_engine
 from repro.errors import ReproError
-from repro.mapping import OBJECTIVES, STRATEGIES, ScheduleOptimizer, make_strategy
-from repro.mapping.mapspace import ALGORITHM_MODES
+from repro.mapping import ScheduleOptimizer, make_strategy
 from repro.memory.traffic import TrafficModel
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import REGISTRY
+from repro.options import ALGORITHM_MODES, DEFAULT_PORT, OBJECTIVES, STRATEGIES
 from repro.serve import payloads
 from repro.serve.coalesce import Coalescer
 from repro.serve.protocol import (
-    DEFAULT_PORT,
     HttpRequest,
     MapParams,
     ProtocolError,

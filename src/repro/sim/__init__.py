@@ -1,46 +1,28 @@
 """Simulators: functional (dataflow-level) and cycle-accurate (register-level)."""
 
-from repro.sim.cycle import CycleAccurateChainSimulator, CycleSimResult, CycleSimStats
-from repro.sim.functional import (
-    FUNCTIONAL_BACKENDS,
-    FunctionalChainSimulator,
-    FunctionalRunResult,
-    FunctionalRunStats,
-)
-from repro.sim.functional_vectorized import (
-    PairWindowStats,
-    StripeCoverage,
-    pair_window_stats,
-    stride_keep_mask,
-    stripe_coverage,
-    vectorized_layer_ofmaps,
-)
-from repro.sim.network import (
-    FunctionalNetworkRunner,
-    NetworkRunResult,
-    StageReport,
-    pool2d,
-)
-from repro.sim.trace import TraceEvent, TraceLog
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CycleAccurateChainSimulator",
-    "CycleSimResult",
-    "CycleSimStats",
-    "FUNCTIONAL_BACKENDS",
-    "FunctionalChainSimulator",
-    "FunctionalNetworkRunner",
-    "FunctionalRunResult",
-    "FunctionalRunStats",
-    "NetworkRunResult",
-    "PairWindowStats",
-    "StageReport",
-    "StripeCoverage",
-    "TraceEvent",
-    "TraceLog",
-    "pair_window_stats",
-    "pool2d",
-    "stride_keep_mask",
-    "stripe_coverage",
-    "vectorized_layer_ofmaps",
-]
+_EXPORTS = {
+    "CycleAccurateChainSimulator": "repro.sim.cycle.engine",
+    "CycleSimResult": "repro.sim.cycle.engine",
+    "CycleSimStats": "repro.sim.cycle.engine",
+    "FUNCTIONAL_BACKENDS": "repro.sim.functional",
+    "FunctionalChainSimulator": "repro.sim.functional",
+    "FunctionalNetworkRunner": "repro.sim.network",
+    "FunctionalRunResult": "repro.sim.functional",
+    "FunctionalRunStats": "repro.sim.functional",
+    "NetworkRunResult": "repro.sim.network",
+    "PairWindowStats": "repro.sim.functional_vectorized",
+    "StageReport": "repro.sim.network",
+    "StripeCoverage": "repro.sim.functional_vectorized",
+    "TraceEvent": "repro.sim.trace",
+    "TraceLog": "repro.sim.trace",
+    "pair_window_stats": "repro.sim.functional_vectorized",
+    "pool2d": "repro.sim.network",
+    "stride_keep_mask": "repro.sim.functional_vectorized",
+    "stripe_coverage": "repro.sim.functional_vectorized",
+    "vectorized_layer_ofmaps": "repro.sim.functional_vectorized",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

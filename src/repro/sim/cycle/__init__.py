@@ -1,19 +1,16 @@
 """Cycle-accurate chain simulation."""
 
-from repro.sim.cycle.engine import (
-    CYCLE_BACKENDS,
-    CycleAccurateChainSimulator,
-    CycleSimResult,
-    CycleSimStats,
-)
-from repro.sim.cycle.vectorized import PairGeometryStats, pair_geometry, stripe_mac_count
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CYCLE_BACKENDS",
-    "CycleAccurateChainSimulator",
-    "CycleSimResult",
-    "CycleSimStats",
-    "PairGeometryStats",
-    "pair_geometry",
-    "stripe_mac_count",
-]
+_EXPORTS = {
+    "CYCLE_BACKENDS": "repro.options",
+    "CycleAccurateChainSimulator": "repro.sim.cycle.engine",
+    "CycleSimResult": "repro.sim.cycle.engine",
+    "CycleSimStats": "repro.sim.cycle.engine",
+    "PairGeometryStats": "repro.sim.cycle.vectorized",
+    "pair_geometry": "repro.sim.cycle.vectorized",
+    "stripe_mac_count": "repro.sim.cycle.vectorized",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

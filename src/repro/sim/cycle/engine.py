@@ -42,14 +42,12 @@ from repro.core.mapper import LayerMapper
 from repro.core.primitive import SystolicPrimitive
 from repro.errors import ConfigurationError, SimulationError, WorkloadError
 from repro.hwmodel.fixed_point import FixedPointFormat
+from repro.options import CYCLE_BACKENDS
 from repro.sim.cycle.vectorized import (
     MAX_EXACT_KERNEL_PES,
     correlate_layer_raw,
     pair_geometry,
 )
-
-#: backends accepted by :class:`CycleAccurateChainSimulator`
-CYCLE_BACKENDS = ("vectorized", "scalar")
 
 
 @dataclass

@@ -40,6 +40,11 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.analysis.winograd import (
+    WINOGRAD_CYCLES_PER_TILE,
+    winograd_ext_width,
+    winograd_tile_grid,
+)
 from repro.cnn.layer import ConvLayer
 from repro.cnn.reference import conv2d_im2col, pad_input
 from repro.core.config import ChainConfig
@@ -53,10 +58,8 @@ from repro.sim.functional_vectorized import (
     vectorized_layer_ofmaps,
 )
 
-# NOTE: repro.analysis.winograd / repro.sim.winograd are imported lazily
-# inside the Winograd code paths — repro.sim is itself imported while
-# repro.engine.adapters is only partially initialised, and the
-# repro.analysis package __init__ closes a cycle back into it.
+# repro.sim.winograd is imported inside the Winograd code paths, so a
+# direct-only run never loads the transform-domain kernels.
 
 #: selectable simulation backends (``"both"`` additionally cross-checks them)
 FUNCTIONAL_BACKENDS = ("scalar", "vectorized")
@@ -232,12 +235,6 @@ class FunctionalChainSimulator:
         a 9-PE primitive plus the ``K^2 - 1`` fill per stripe), so the
         simulator's counters and the analytical scorer agree.
         """
-        from repro.analysis.winograd import (
-            WINOGRAD_CYCLES_PER_TILE,
-            winograd_ext_width,
-            winograd_tile_grid,
-        )
-
         tiles_h, tiles_w = winograd_tile_grid(layer)
         pairs = layer.channel_pairs()
         fill = layer.kernel_size * layer.kernel_size - 1

@@ -37,6 +37,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from repro.analysis.winograd import winograd_eligible
 from repro.cnn.generator import WorkloadGenerator
 from repro.cnn.layer import ConvLayer, FullyConnectedLayer, PoolingLayer
 from repro.cnn.network import Network
@@ -45,16 +46,11 @@ from repro.cnn.reference import strided_windows
 from repro.core.config import ChainConfig
 from repro.errors import QuantizationError, WorkloadError
 from repro.obs import trace as obs_trace
+from repro.options import ALGORITHM_MODES
 from repro.sim.functional import FunctionalChainSimulator, FunctionalRunStats
 
-# NOTE: repro.analysis.winograd / repro.sim.winograd are imported lazily
-# inside the Winograd code paths — repro.sim is itself imported while
-# repro.engine.adapters is only partially initialised, and the
-# repro.analysis package __init__ closes a cycle back into it.
-
-#: network-level algorithm modes (``auto`` and ``winograd`` both run the
-#: transform domain on every eligible layer; ineligible layers stay direct)
-NETWORK_ALGORITHMS = ("direct", "winograd", "auto")
+# repro.sim.winograd is imported inside the Winograd code paths, so a
+# direct-only run never loads the transform-domain kernels.
 
 #: float64 significand bits: every integer of magnitude <= 2**53 is exact
 FLOAT64_EXACT_BITS = 53
@@ -187,10 +183,10 @@ class FunctionalNetworkRunner:
                  backend: str = "vectorized", seed: int = 2017,
                  total_bits: int = DATAPATH_BITS,
                  algorithm: str = "direct") -> None:
-        if algorithm not in NETWORK_ALGORITHMS:
+        if algorithm not in ALGORITHM_MODES:
             raise WorkloadError(
                 f"unknown algorithm {algorithm!r}; available: "
-                f"{', '.join(NETWORK_ALGORITHMS)}"
+                f"{', '.join(ALGORITHM_MODES)}"
             )
         self.simulator = FunctionalChainSimulator(config, backend=backend)
         self.backend = backend
@@ -207,8 +203,6 @@ class FunctionalNetworkRunner:
 
     def _algorithm_for(self, layer: ConvLayer) -> str:
         """The execution algorithm this run uses for ``layer``."""
-        from repro.analysis.winograd import winograd_eligible
-
         if self.algorithm != "direct" and winograd_eligible(layer):
             return "winograd"
         return "direct"

@@ -137,6 +137,28 @@ class TestCommands:
         assert main(["verify", "--network", "lenet5"]) == 2
         assert "--sim functional" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["run", "lenet5", "--engine", "cycle", "--mode", "detailed"], "--mode"),
+        (["run", "lenet5", "--engine", "analytical", "--algorithm", "winograd"],
+         "--algorithm"),
+        (["verify", "--algorithm", "winograd"], "--algorithm"),
+        (["verify", "--network", "lenet5"], "--network"),
+        (["map", "--network", "lenet5", "--strategy", "greedy", "--samples", "9"],
+         "--samples"),
+        (["map", "--network", "lenet5", "--strategy", "exhaustive",
+          "--iterations", "500"], "--iterations"),
+    ], ids=["run-mode", "run-algorithm", "verify-algorithm", "verify-network",
+            "map-samples", "map-iterations"])
+    def test_flag_conflict_is_one_repro_error_line(self, argv, flag, capsys):
+        """Flag conflicts share the single ``repro: error:`` form of every
+        library-detected user error: one stderr line, exit code 2."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"repro: error: {flag} ")
+
 
 class TestEngineCommands:
     def test_engines_lists_registry(self, capsys):
