@@ -3,8 +3,8 @@
 The acceptance bars for the evaluation-as-a-service PR:
 
 * **coalescing pays >=5x** — a 10k-point mixed-client workload (32
-  concurrent clients, request sizes 1..64 points) through the coalescing
-  window must deliver at least 5x the points/s of the same server fed
+  concurrent clients, request sizes 1..64 points) through the coalescer
+  must deliver at least 5x the points/s of the same server fed
   sequential single-point requests (floor asserted in timing mode,
   recorded honestly in the smoke pass);
 * **the index beats the file scan** — on a 10k-record cache, an indexed
@@ -42,9 +42,6 @@ CLIENTS = 32
 
 #: mixed request sizes the clients cycle through (points per request)
 REQUEST_SIZES = (1, 2, 4, 8, 16, 32, 64)
-
-#: coalescing window — the server default
-WINDOW_MS = 4.0
 
 #: total design points per leg: timing mode / smoke pass
 POINTS, SMOKE_POINTS = 10_000, 1_500
@@ -86,7 +83,7 @@ def _percentile(samples: Sequence[float], q: float) -> float:
 
 async def _serve_legs(total_points: int,
                       sequential_requests: int) -> Dict[str, float]:
-    server = await EvalServer(port=0, window_ms=WINDOW_MS).start()
+    server = await EvalServer(port=0).start()
     try:
         await _sweep(server.port, _grid_spec(0, 2))  # warm the engine/context
 
@@ -122,7 +119,6 @@ async def _serve_legs(total_points: int,
         "points": total_points,
         "requests": len(sizes),
         "clients": CLIENTS,
-        "window_ms": WINDOW_MS,
         "sequential_requests": sequential_requests,
         "sequential_points_per_s": sequential_pps,
         "coalesced_points_per_s": coalesced_pps,
@@ -205,7 +201,10 @@ def test_serve_throughput_and_cache_index(benchmark, tmp_path):
 
     record_benchmark("serve", {**serve_stats, **index_stats})
 
-    assert serve_stats["coalesced_batches"] > 0, "nothing coalesced"
+    # every batch counts, single-request ones too: only fewer batches
+    # than requests shows that requests shared a batch
+    assert serve_stats["coalesced_batches"] < serve_stats["requests"], (
+        "no batch carried more than one request")
     # the floors only bind in timing mode: the smoke pass runs a scaled
     # workload on shared runners where scheduler noise dominates
     if not smoke:

@@ -510,21 +510,6 @@ class BatchDesignEvaluator:
         constants.tiles_by_bits[bits] = (tile.th, tile.stripe_rows, stripes)
         return constants.tiles_by_bits[bits]
 
-    def mapping_evaluator(self, layer_index: int,
-                          batch: int) -> "MappingBatchEvaluator":
-        """Columnar *mapping-candidate* evaluator for one layer of the network.
-
-        The mapping-search subsystem (:mod:`repro.mapping`) scores its
-        candidates through this hook so the search shares the evaluator's
-        base configuration and unit energies.
-        """
-        return MappingBatchEvaluator(
-            self.network.conv_layers[layer_index],
-            config=self.base,
-            batch=batch,
-            energy=self.energy,
-        )
-
     # ------------------------------------------------------------------ #
     # grid evaluation
     # ------------------------------------------------------------------ #

@@ -91,12 +91,6 @@ def winograd_tile_grid(layer: ConvLayer) -> tuple:
     return tiles_h, tiles_w
 
 
-def winograd_tiles(layer: ConvLayer) -> int:
-    """Total 4x4 input tiles per (ofmap channel, ifmap channel) pair."""
-    tiles_h, tiles_w = winograd_tile_grid(layer)
-    return tiles_h * tiles_w
-
-
 def winograd_weight_count(layer: ConvLayer) -> int:
     """Words of transformed 4x4 filter planes (vs ``layer.weight_count``)."""
     return WINOGRAD_MULTIPLIES_PER_TILE * layer.channel_pairs()

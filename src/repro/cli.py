@@ -75,7 +75,7 @@ import os
 import sys
 import time
 from collections.abc import Sequence
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 from repro.cnn.zoo import NETWORKS, get_network, tiny_test_network
 from repro.core.config import ChainConfig
@@ -318,7 +318,8 @@ def cmd_sweep_grid(args: argparse.Namespace) -> int:
         engine=engine,
         cache=_cache_from_args(args),
     )
-    result = explorer.sweep_grid(args.grid, base=_config_from_args(args))
+    result = _timed(args, explorer.sweep_grid, args.grid,
+                    base=_config_from_args(args))
     pareto, top = serve_payloads.reduce_grid_result(
         result, args.objectives, args.metric, args.top, args.pareto)
 
@@ -372,11 +373,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     base = _config_from_args(args)
     if args.axis == "pes":
-        points = explorer.sweep_chain_length(base=base)
+        points = _timed(args, explorer.sweep_chain_length, base=base)
     elif args.axis == "frequency":
-        points = explorer.sweep_frequency(base=base)
+        points = _timed(args, explorer.sweep_frequency, base=base)
     else:
-        fps = explorer.sweep_batch_size(base=base)
+        fps = _timed(args, explorer.sweep_batch_size, base=base)
         if args.json:
             print(serve_payloads.dumps({
                 "axis": "batch", "engine": args.engine, "network": args.network,
@@ -596,7 +597,7 @@ def cmd_map(args: argparse.Namespace) -> int:
         algorithm=args.algorithm,
     )
     network = get_network(args.network)
-    schedule = optimizer.optimize(network)
+    schedule = _timed(args, optimizer.optimize, network)
     verification = (optimizer.verify(network, schedule, seed=args.seed)
                     if args.verify else None)
 
@@ -627,7 +628,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     server = EvalServer(
         args.host, args.port,
-        window_ms=args.window_ms,
         workers=args.workers,
         cache=_cache_from_args(args),
     )
@@ -635,7 +635,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     async def _serve() -> None:
         await server.start()
         print(f"repro serve listening on http://{server.host}:{server.port} "
-              f"(coalescing window {args.window_ms:g} ms; Ctrl-C stops)")
+              "(Ctrl-C stops)")
         try:
             await server.serve_forever()
         except asyncio.CancelledError:
@@ -1028,10 +1028,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--port", type=int, default=DEFAULT_PORT,
                            help=f"TCP port (default: {DEFAULT_PORT}; 0 picks "
                                 "a free port)")
-    serve_cmd.add_argument("--window-ms", type=_positive_float, default=4.0,
-                           help="coalescing micro-batch window: how long the "
-                                "first sweep request of a batch waits for "
-                                "compatible company (default: 4 ms)")
     serve_cmd.add_argument("--workers", type=_positive_int, default=None,
                            help="default worker processes for map requests "
                                 "that do not set their own (default: "
@@ -1081,9 +1077,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _timed(args: argparse.Namespace, call: Callable[..., Any], *a: Any,
+           **kw: Any) -> Any:
+    """``call(*a, **kw)``; its wall time is the footer's ``args.compute_s``."""
+    start = time.perf_counter()
+    result = call(*a, **kw)
+    args.compute_s = time.perf_counter() - start
+    return result
+
+
 def _print_stats_footer(args: argparse.Namespace, wall_s: float) -> None:
     """One-line run statistics after ``sweep``/``map`` (metrics-registry
-    sourced, printed even without ``--trace``)."""
+    sourced, printed even without ``--trace``); ``wall_s`` times the sweep
+    or search call alone, not the handler's imports or output."""
     flat = REGISTRY.flat()
     if args.command == "map":
         count = flat.get("mapping.candidates_searched", 0)
@@ -1132,7 +1138,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "serve": cmd_serve,
         "request": cmd_request,
     }
-    start = time.perf_counter()
     try:
         with obs_trace.span("cli." + args.command):
             status = handlers[args.command](args)
@@ -1141,9 +1146,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         # chain): one argparse-style line, no traceback
         print(f"repro: error: {error}", file=sys.stderr)
         return 2
-    wall_s = time.perf_counter() - start
     if args.command in ("sweep", "pareto", "map"):
-        _print_stats_footer(args, wall_s)
+        _print_stats_footer(args, args.compute_s)
     if args.trace:
         from repro.obs.export import export_trace
 

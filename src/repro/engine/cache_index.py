@@ -31,8 +31,10 @@ index is an accelerator, never the source of truth:
 
 from __future__ import annotations
 
+import contextlib
 import os
 import sqlite3
+import tempfile
 import time
 import warnings
 from pathlib import Path
@@ -112,19 +114,43 @@ class CacheIndex:
         if not create and not self.path.is_file():
             return None
         try:
-            self.root.mkdir(parents=True, exist_ok=True)
+            if not self.path.is_file():
+                self._create()
             conn = sqlite3.connect(str(self.path), timeout=_BUSY_TIMEOUT_S,
                                    isolation_level=None)
             conn.execute(f"PRAGMA busy_timeout = {int(_BUSY_TIMEOUT_S * 1000)}")
             conn.execute("PRAGMA journal_mode = WAL")
             conn.execute("PRAGMA synchronous = NORMAL")
             conn.executescript(_SCHEMA)
-        except sqlite3.Error as error:
+        except (sqlite3.Error, OSError) as error:
             self._disable(error)
             return None
         self._conn = conn
         self._pid = os.getpid()
         return conn
+
+    def _create(self) -> None:
+        """Hard-link a new ``index.db``, already in WAL mode, into place.
+
+        The rollback-to-WAL switch upgrades a read lock to an exclusive one,
+        and SQLite refuses that upgrade at once, without the busy handler,
+        while another connection holds a lock; so no connection may open the
+        index before it is in WAL mode.  A losing creator keeps the winner's
+        identical file.
+        """
+        self.root.mkdir(parents=True, exist_ok=True)
+        fd, spool = tempfile.mkstemp(dir=self.root, prefix=INDEX_FILENAME,
+                                     suffix=".tmp")
+        os.close(fd)
+        try:
+            conn = sqlite3.connect(spool, isolation_level=None)
+            conn.execute("PRAGMA journal_mode = WAL")
+            conn.executescript(_SCHEMA)
+            conn.close()
+            with contextlib.suppress(FileExistsError):
+                os.link(spool, self.path)
+        finally:
+            os.unlink(spool)
 
     def _disable(self, error: BaseException) -> None:
         """Mark the index unusable; callers fall back to directory walks."""

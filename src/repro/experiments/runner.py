@@ -659,13 +659,15 @@ def evaluation_service_section(bench_path: str | Path = "BENCH_serve.json") -> s
         "",
         "`repro serve` turns the engine stack into a long-running service:",
         "concurrent `run`/`sweep`/`map`/`verify` requests over HTTP/JSON,",
-        "with compatible sweep requests arriving within a few-millisecond",
-        "window coalesced into one columnar `evaluate_batch` call and the",
-        "per-request slices scattered back (byte-identical to `repro",
-        "<cmd> --json`; `tests/test_serve.py` pins this, chaos leg",
-        "included).  The shared `RunCache` gains a WAL-mode sqlite index",
-        "so lookups, stats and LRU eviction stop scaling with the record",
-        "count while staying safe for 8+ concurrent processes:",
+        "with compatible sweep requests coalesced into one columnar",
+        "`evaluate_batch` call and the per-request slices scattered back",
+        "(a sweep whose key is idle goes out at once; sweeps that arrive",
+        "while its batch is scored park and share the next one;",
+        "byte-identical to `repro <cmd> --json`; `tests/test_serve.py`",
+        "pins this, chaos leg included).  The shared `RunCache` gains a",
+        "WAL-mode sqlite index so lookups, stats and LRU eviction stop",
+        "scaling with the record count while staying safe for 8+",
+        "concurrent processes:",
         "",
         "```text",
         "repro serve --port 8347            # start the service",
@@ -687,7 +689,7 @@ def evaluation_service_section(bench_path: str | Path = "BENCH_serve.json") -> s
         lines += [
             f"Measured (`BENCH_serve.json`, {bench.get('points', '?')}-point",
             f"mixed workload from {bench.get('clients', '?')} concurrent",
-            f"clients, {bench.get('window_ms', '?')} ms window):",
+            "clients):",
             "",
             "| metric | value |",
             "| --- | --- |",

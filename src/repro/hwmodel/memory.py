@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.errors import CapacityError
 
 
@@ -197,8 +195,3 @@ class Sram:
             raise CapacityError(
                 f"{self.name}: access [{address}, {address + words}) exceeds depth {self.depth}"
             )
-
-
-def numpy_bytes(array: np.ndarray, word_bytes: int = 2) -> int:
-    """Size in bytes of ``array`` when stored as ``word_bytes``-wide words."""
-    return int(array.size) * word_bytes

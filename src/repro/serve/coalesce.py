@@ -2,9 +2,10 @@
 
 The batch evaluator's throughput comes from array width — scoring one
 point costs nearly as much as scoring thousands.  The coalescer exploits
-that: requests arriving within a short micro-batch window whose grids
-are *compatible* (same coalesce key — engine fingerprint, network
-workload, base config and cache schema) are concatenated into a single
+that without waiting for company: a request on an idle key is scored at
+once, and requests that queue behind a batch in flight for their key
+(engine fingerprint, network workload, base config and cache schema) are
+concatenated into a single
 :class:`~repro.analysis.batch.DesignGrid`, scored by **one**
 ``evaluate_batch`` call, and sliced back per request.
 
@@ -29,11 +30,8 @@ from repro.obs import metrics as obs_metrics
 
 __all__ = ["Coalescer", "merge_grids", "scatter_result"]
 
-#: micro-batch window: how long the first request of a batch waits for
-#: company before the batch is flushed (seconds)
-DEFAULT_WINDOW_S = 0.004
-
-#: flush early once a batch holds this many points / requests
+#: a batch closes once it holds this many points / requests; the rest of
+#: the parked bucket goes out in the batches after it
 DEFAULT_MAX_POINTS = 262_144
 DEFAULT_MAX_REQUESTS = 256
 
@@ -80,18 +78,20 @@ class _Pending:
 
 @dataclass
 class Coalescer:
-    """Window-based micro-batcher over an async ``evaluate`` callable.
+    """Zero-wait micro-batcher over an async ``evaluate`` callable.
 
     ``evaluate(key, merged_grid)`` scores one merged grid (the server
     runs it in a worker thread so the event loop stays responsive).
-    ``submit`` parks each request on a future; the first request of a
-    key's bucket arms a ``window_s`` timer, and the bucket flushes when
-    the timer fires or the size bounds are hit — whichever comes first.
-    Requests with different keys never share a batch.
+    ``submit`` parks each request on a future in its key's bucket.  The
+    first request of an idle key starts the key's driver task on the
+    next loop turn (submits made in the same turn join it, nothing waits
+    on a timer); the driver scores the bucket batch after batch within
+    the size bounds, requests arriving meanwhile park for the next batch,
+    and the key goes idle once its bucket is empty.  Requests with
+    different keys never share a batch.
     """
 
     evaluate: Callable[[str, DesignGrid], Awaitable[BatchSweepResult]]
-    window_s: float = DEFAULT_WINDOW_S
     max_points: int = DEFAULT_MAX_POINTS
     max_requests: int = DEFAULT_MAX_REQUESTS
     #: raw queue-wait samples for p50/p99 (the metrics histogram keeps
@@ -99,35 +99,33 @@ class Coalescer:
     queue_waits: Deque[float] = field(default_factory=lambda: deque(maxlen=8192))
 
     def __post_init__(self) -> None:
-        self._pending: Dict[str, List[_Pending]] = {}
-        self._timers: Dict[str, asyncio.TimerHandle] = {}
-        self._tasks: set = set()
+        #: parked requests and driver task of every busy key
+        self._busy: Dict[str, Tuple[List[_Pending], "asyncio.Task[None]"]] = {}
 
     async def submit(self, key: str, grid: DesignGrid) -> BatchSweepResult:
         """Queue one request's grid; resolves with its slice of the batch."""
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[BatchSweepResult]" = loop.create_future()
-        bucket = self._pending.setdefault(key, [])
-        bucket.append(_Pending(grid, future, loop.time()))
-        points = sum(pending.grid.n_points for pending in bucket)
-        if len(bucket) == 1:
-            self._timers[key] = loop.call_later(
-                self.window_s, self._flush_now, key)
-        if points >= self.max_points or len(bucket) >= self.max_requests:
-            self._flush_now(key)
+        if key not in self._busy:
+            bucket: List[_Pending] = []
+            self._busy[key] = (bucket, loop.create_task(self._drive(key, bucket)))
+        self._busy[key][0].append(_Pending(grid, future, loop.time()))
         return await future
 
-    def _flush_now(self, key: str) -> None:
-        """Detach ``key``'s bucket and score it in a background task."""
-        timer = self._timers.pop(key, None)
-        if timer is not None:
-            timer.cancel()
-        batch = self._pending.pop(key, None)
-        if not batch:
-            return
-        task = asyncio.get_running_loop().create_task(self._flush(key, batch))
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+    async def _drive(self, key: str, bucket: List[_Pending]) -> None:
+        """Score ``key``'s bucket batch after batch until it stays empty."""
+        try:
+            while bucket:
+                points = size = 0
+                while (size < len(bucket) and size < self.max_requests
+                       and points < self.max_points):
+                    points += bucket[size].grid.n_points
+                    size += 1
+                batch = bucket[:size]
+                del bucket[:size]
+                await self._flush(key, batch)
+        finally:
+            del self._busy[key]
 
     async def _flush(self, key: str, batch: List[_Pending]) -> None:
         loop = asyncio.get_running_loop()
@@ -136,25 +134,25 @@ class Coalescer:
             wait = now - pending.enqueued
             _M_QUEUE_WAIT.observe(wait)
             self.queue_waits.append(wait)
-        merged, spans = merge_grids([pending.grid for pending in batch])
-        _M_BATCHES.inc()
-        _M_COALESCED.inc(len(batch))
-        _M_BATCH_REQUESTS.observe(len(batch))
-        _M_BATCH_POINTS.observe(merged.n_points)
         try:
-            result = await self.evaluate(key, merged)
+            merged, spans = merge_grids([pending.grid for pending in batch])
+            _M_BATCHES.inc()
+            _M_COALESCED.inc(len(batch))
+            _M_BATCH_REQUESTS.observe(len(batch))
+            _M_BATCH_POINTS.observe(merged.n_points)
+            pieces = scatter_result(await self.evaluate(key, merged), spans)
         except Exception as error:  # noqa: BLE001 - fan the failure out
+            # and keep the driver alive for the requests parked behind
             for pending in batch:
                 if not pending.future.done():
                     pending.future.set_exception(error)
             return
-        for pending, piece in zip(batch, scatter_result(result, spans)):
+        for pending, piece in zip(batch, pieces):
             if not pending.future.done():
                 pending.future.set_result(piece)
 
     async def drain(self) -> None:
-        """Flush every armed bucket now and wait for in-flight batches."""
-        for key in list(self._pending):
-            self._flush_now(key)
-        while self._tasks:
-            await asyncio.gather(*list(self._tasks), return_exceptions=True)
+        """Wait until every parked and in-flight request has been scored."""
+        while self._busy:
+            await asyncio.gather(*[task for _, task in self._busy.values()],
+                                 return_exceptions=True)

@@ -47,6 +47,16 @@ class TestParser:
         err = capsys.readouterr().err
         assert err.startswith("usage: repro") and "repro: error:" in err
 
+    def test_removed_window_flag_is_a_usage_error(self, capsys):
+        """Sweeps coalesce without a timed window: a stale ``--window-ms``
+        fails loudly with one error line, it is not ignored."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--window-ms", "4"])
+        assert exit_info.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert errors == ["repro: error: unrecognized arguments: --window-ms 4"]
+
     @pytest.mark.parametrize("argv", [
         ["verify", "--sim", "functional", "--network", "alexnet",
          "--workers", "2"],

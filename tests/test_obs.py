@@ -9,6 +9,11 @@ merged trace (no unclosed spans, recovery visible as instants)."""
 from __future__ import annotations
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -414,6 +419,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert "[obs] map:" in err and "candidates" in err
         assert "cache off" in err
+
+    def test_footer_times_the_search_not_the_handler(self, tmp_path):
+        """The footer's seconds, and so its rate, cover the search alone.
+
+        In a fresh process the handler's imports cost real time; the
+        footer must still not exceed the traced ``map.optimize`` span.
+        """
+        path = tmp_path / "trace.json"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {key: value for key, value in os.environ.items()
+               if key != "REPRO_CACHE_DIR"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "--trace", str(path), "map",
+             "--network", "alexnet", "--strategy", "greedy"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        footer = re.search(r"\[obs\] map: \d+ candidates in ([0-9.]+)s",
+                           done.stderr)
+        assert footer is not None, done.stderr
+        (span,) = [event for event in
+                   json.loads(path.read_text())["traceEvents"]
+                   if event.get("name") == "map.optimize"]
+        # the footer prints two decimals: allow half a unit of rounding
+        assert float(footer[1]) <= span["dur"] / 1e6 + 0.005
 
     def test_jsonl_trace_export(self, tmp_path, capsys):
         path = tmp_path / "trace.jsonl"

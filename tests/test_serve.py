@@ -3,8 +3,8 @@
 The service's core promise is that turning the stack into a server
 changes *where* evaluation happens but not *what* comes back: every
 response must be byte-identical to the matching ``repro <cmd> --json``
-invocation, including when many clients overlap inside one coalescing
-window and when a seeded fault plan is killing pool workers mid-run.
+invocation, including when many clients' sweeps share one coalesced
+batch and when a seeded fault plan is killing pool workers mid-run.
 Part of the CI equivalence gate (fail-if-skipped).
 """
 
@@ -98,95 +98,233 @@ class TestMergeScatter:
 
 
 # --------------------------------------------------------------------- #
-# coalescer: window flush, partitioning, scatter order, failure fan-out
+# coalescer: zero-wait dispatch, parking, size bounds, keys, failure, drain
 # --------------------------------------------------------------------- #
+def _run_without_timers(main):
+    """``asyncio.run(main())`` on a loop that refuses to arm any timer, so
+    nothing the coalescer does can wait on a clock."""
+    async def guarded():
+        def refuse(*args, **kwargs):
+            raise AssertionError("a timer was armed")
+        asyncio.get_running_loop().call_at = refuse  # call_later goes here too
+        return await main()
+
+    return asyncio.run(guarded())
+
+
+def _alone(spec: str):
+    return create_engine("analytical-batch").evaluate_batch(
+        tiny_test_network(), _grid(spec), base=BASE)
+
+
+def _one_pe(pes: int) -> str:
+    return f"pe={pes}:{pes}:1,freq=700:700:1"
+
+
+class _GatedEvaluate:
+    """An ``evaluate`` that records each batch, then blocks on ``gate``.
+
+    ``entered`` is set whenever a batch reaches the evaluator, so a test can
+    hold a batch in flight and park requests behind it deterministically.
+    """
+
+    def __init__(self, open_gate: bool = False) -> None:
+        self.calls = []
+        self.gate = asyncio.Event()
+        self.entered = asyncio.Event()
+        if open_gate:
+            self.gate.set()
+
+    async def __call__(self, key, merged):
+        self.calls.append((key, merged.n_points))
+        self.entered.set()
+        await self.gate.wait()
+        return create_engine("analytical-batch").evaluate_batch(
+            tiny_test_network(), merged, base=BASE)
+
+    async def hold_first_batch(self, coalescer, key="k", spec=_one_pe(96)):
+        """Submit one request and return once its batch is in flight."""
+        task = asyncio.ensure_future(coalescer.submit(key, _grid(spec)))
+        await self.entered.wait()
+        self.entered.clear()
+        return task
+
+
+async def _park(coalescer, key, specs):
+    """Submit ``specs`` as tasks and yield one loop turn so each is parked
+    (``sleep(0)`` is a bare yield, not a timer)."""
+    tasks = [asyncio.ensure_future(coalescer.submit(key, _grid(spec)))
+             for spec in specs]
+    await asyncio.sleep(0)
+    return tasks
+
+
 class TestCoalescer:
-    def _coalescer(self, calls, **kwargs):
-        async def evaluate(key, merged):
-            calls.append((key, merged.n_points))
-            engine = create_engine("analytical-batch")
-            return engine.evaluate_batch(tiny_test_network(), merged, base=BASE)
-        return Coalescer(evaluate, **kwargs)
-
-    def test_window_flush_merges_compatible_requests(self):
-        calls = []
-
+    def test_lone_submit_resolves_with_no_timer_armed(self):
         async def main():
-            coalescer = self._coalescer(calls, window_s=0.05)
+            evaluate = _GatedEvaluate(open_gate=True)
+            result = await Coalescer(evaluate).submit("k", _grid(_one_pe(192)))
+            return evaluate.calls, result
+
+        calls, result = _run_without_timers(main)
+        assert calls == [("k", 1)]
+        assert np.array_equal(result.fps, _alone(_one_pe(192)).fps)
+
+    def test_submits_in_one_loop_turn_share_a_batch(self):
+        async def main():
+            evaluate = _GatedEvaluate(open_gate=True)
+            coalescer = Coalescer(evaluate)
             results = await asyncio.gather(
-                coalescer.submit("k", _grid("pe=96:96:1,freq=700:700:1")),
-                coalescer.submit("k", _grid("pe=192:192:1,freq=700:700:1")),
+                coalescer.submit("k", _grid(_one_pe(96))),
+                coalescer.submit("k", _grid(_one_pe(192))),
                 coalescer.submit("k", _grid("pe=288:480:96,freq=700:700:1")),
             )
-            return results
+            return evaluate.calls, results
 
-        results = asyncio.run(main())
+        calls, results = _run_without_timers(main)
         assert calls == [("k", 5)]  # one batch scored all three requests
         assert [r.n_points for r in results] == [1, 1, 3]
 
-    def test_incompatible_keys_never_share_a_batch(self):
-        calls = []
+    def test_submits_behind_a_busy_key_form_exactly_one_next_batch(self):
+        """Requests parked while a batch is in flight go out together, as
+        the very next batch, each getting its own grid's scores back in
+        submission order."""
+        pes = [576, 192, 384, 288]
 
         async def main():
-            coalescer = self._coalescer(calls, window_s=0.02)
-            await asyncio.gather(
-                coalescer.submit("a", _grid("pe=96:96:1,freq=700:700:1")),
-                coalescer.submit("b", _grid("pe=96:96:1,freq=700:700:1")),
-                coalescer.submit("a", _grid("pe=192:192:1,freq=700:700:1")),
-            )
+            evaluate = _GatedEvaluate()
+            coalescer = Coalescer(evaluate)
+            first = await evaluate.hold_first_batch(coalescer)
+            parked = await _park(coalescer, "k", [_one_pe(p) for p in pes])
+            assert evaluate.calls == [("k", 1)]  # parked, not dispatched
+            evaluate.gate.set()
+            return evaluate.calls, await first, await asyncio.gather(*parked)
 
-        asyncio.run(main())
-        assert sorted(calls) == [("a", 2), ("b", 1)]
+        calls, first, parked = _run_without_timers(main)
+        assert calls == [("k", 1), ("k", len(pes))]
+        assert np.array_equal(first.fps, _alone(_one_pe(96)).fps)
+        for p, result in zip(pes, parked):
+            assert np.array_equal(result.fps, _alone(_one_pe(p)).fps)
 
     def test_scatter_order_matches_submission_order(self):
         """Interleaved submissions each get their own grid's scores back."""
         pes = [96, 576, 192, 384, 288]
 
         async def main():
-            coalescer = self._coalescer([], window_s=0.05)
-            results = await asyncio.gather(*[
-                coalescer.submit("k", _grid(f"pe={p}:{p}:1,freq=700:700:1"))
-                for p in pes
-            ])
-            return results
+            coalescer = Coalescer(_GatedEvaluate(open_gate=True))
+            return await asyncio.gather(*[
+                coalescer.submit("k", _grid(_one_pe(p))) for p in pes])
 
-        engine = create_engine("analytical-batch")
-        for p, result in zip(pes, asyncio.run(main())):
-            alone = engine.evaluate_batch(
-                tiny_test_network(),
-                _grid(f"pe={p}:{p}:1,freq=700:700:1"), base=BASE)
-            assert np.array_equal(result.fps, alone.fps)
+        for p, result in zip(pes, _run_without_timers(main)):
+            assert np.array_equal(result.fps, _alone(_one_pe(p)).fps)
 
-    def test_size_bound_flushes_before_the_window(self):
-        calls = []
-
+    @pytest.mark.parametrize("bounds, specs, batches", [
+        ({"max_requests": 2}, [_one_pe(p) for p in (96, 192, 288, 384, 480)],
+         [1, 2, 2, 1]),
+        # a batch closes once it holds >= max_points: 2+2, then 1+3
+        ({"max_points": 3}, ["pe=96:192:96", "pe=288:384:96", "pe=480",
+                             "pe=96:288:96"],
+         [1, 4, 4]),
+    ], ids=["max_requests", "max_points"])
+    def test_size_bounds_split_a_parked_bucket(self, bounds, specs, batches):
         async def main():
-            # a 10 s window would time the test out if the request bound
-            # (2) did not flush immediately
-            coalescer = self._coalescer(calls, window_s=10.0, max_requests=2)
-            await asyncio.wait_for(asyncio.gather(
-                coalescer.submit("k", _grid("pe=96:96:1,freq=700:700:1")),
-                coalescer.submit("k", _grid("pe=192:192:1,freq=700:700:1")),
-            ), timeout=5.0)
+            evaluate = _GatedEvaluate()
+            coalescer = Coalescer(evaluate, **bounds)
+            first = await evaluate.hold_first_batch(coalescer)
+            parked = await _park(coalescer, "k", specs)
+            evaluate.gate.set()
+            await first
+            return evaluate.calls, await asyncio.gather(*parked)
 
-        asyncio.run(main())
-        assert calls == [("k", 2)]
+        calls, results = _run_without_timers(main)
+        assert calls == [("k", n) for n in batches]
+        for spec, result in zip(specs, results):
+            assert np.array_equal(result.fps, _alone(spec).fps)
+
+    def test_incompatible_keys_never_share_a_batch(self):
+        async def main():
+            evaluate = _GatedEvaluate(open_gate=True)
+            coalescer = Coalescer(evaluate)
+            await asyncio.gather(
+                coalescer.submit("a", _grid(_one_pe(96))),
+                coalescer.submit("b", _grid(_one_pe(96))),
+                coalescer.submit("a", _grid(_one_pe(192))),
+            )
+            return evaluate.calls
+
+        assert sorted(_run_without_timers(main)) == [("a", 2), ("b", 1)]
+
+    def test_a_busy_key_does_not_hold_back_another_key(self):
+        async def main():
+            evaluate = _GatedEvaluate()
+            coalescer = Coalescer(evaluate)
+            first = await evaluate.hold_first_batch(coalescer, key="a")
+            other = asyncio.ensure_future(
+                coalescer.submit("b", _grid(_one_pe(192))))
+            await evaluate.entered.wait()  # b dispatched while a is busy
+            calls = list(evaluate.calls)
+            evaluate.gate.set()
+            await asyncio.gather(first, other)
+            return calls
+
+        assert _run_without_timers(main) == [("a", 1), ("b", 1)]
 
     def test_evaluation_failure_fans_out_to_every_waiter(self):
+        attempts = []
+
         async def evaluate(key, merged):
+            attempts.append(merged.n_points)
             raise ValueError("boom")
 
         async def main():
-            coalescer = Coalescer(evaluate, window_s=0.01)
-            futures = await asyncio.gather(
-                coalescer.submit("k", _grid("pe=96:96:1,freq=700:700:1")),
-                coalescer.submit("k", _grid("pe=192:192:1,freq=700:700:1")),
+            coalescer = Coalescer(evaluate)
+            return await asyncio.gather(
+                coalescer.submit("k", _grid(_one_pe(96))),
+                coalescer.submit("k", _grid(_one_pe(192))),
                 return_exceptions=True,
             )
-            return futures
 
-        outcomes = asyncio.run(main())
+        outcomes = _run_without_timers(main)
+        assert attempts == [2]
         assert all(isinstance(outcome, ValueError) for outcome in outcomes)
+
+    def test_requests_parked_behind_a_failed_batch_are_still_scored(self):
+        class FailFirst(_GatedEvaluate):
+            async def __call__(self, key, merged):
+                result = await super().__call__(key, merged)
+                if len(self.calls) == 1:
+                    raise ValueError("boom")
+                return result
+
+        async def main():
+            evaluate = FailFirst()
+            coalescer = Coalescer(evaluate)
+            first = await evaluate.hold_first_batch(coalescer)
+            parked = await _park(coalescer, "k", [_one_pe(192)])
+            evaluate.gate.set()
+            with pytest.raises(ValueError):
+                await first
+            return evaluate.calls, await asyncio.gather(*parked)
+
+        calls, (result,) = _run_without_timers(main)
+        assert calls == [("k", 1), ("k", 1)]
+        assert np.array_equal(result.fps, _alone(_one_pe(192)).fps)
+
+    def test_drain_resolves_parked_requests(self):
+        async def main():
+            evaluate = _GatedEvaluate()
+            coalescer = Coalescer(evaluate)
+            first = await evaluate.hold_first_batch(coalescer)
+            parked = await _park(coalescer, "k", [_one_pe(192), _one_pe(288)])
+            drain = asyncio.ensure_future(coalescer.drain())
+            await asyncio.sleep(0)
+            assert not drain.done()  # the in-flight batch still holds it
+            evaluate.gate.set()
+            await drain
+            assert first.done() and all(task.done() for task in parked)
+            return evaluate.calls
+
+        assert _run_without_timers(main) == [("k", 1), ("k", 2)]
 
 
 # --------------------------------------------------------------------- #
@@ -256,7 +394,7 @@ class TestServerBitIdentity:
             ("/v1/run", {"network": "alexnet", "traffic": True},
              ["run", "alexnet", "--json", "--traffic"]),
         ]
-        before = REGISTRY.flat().get("serve.coalesced_batches", 0)
+        before = REGISTRY.flat()
 
         async def clients(server):
             return await asyncio.gather(*[
@@ -264,13 +402,17 @@ class TestServerBitIdentity:
                 for path, body, _ in requests
             ])
 
-        responses = _serve(clients, window_ms=20.0)
+        responses = _serve(clients)
         for (path, body, argv), (status, raw) in zip(requests, responses):
             assert status == 200, (path, raw)
             assert raw.decode() + "\n" == _cli_out(argv), (path, body)
-        # the three compatible alexnet/batch-16/default-base sweeps above
-        # must have shared at least one coalesced batch
-        assert REGISTRY.flat()["serve.coalesced_batches"] > before
+        # every flush counts as a batch, single-request ones too; more
+        # requests than batches means some compatible sweeps shared one
+        after = REGISTRY.flat()
+        batches, requests = (
+            after[name] - before.get(name, 0)
+            for name in ("serve.coalesced_batches", "serve.coalesced_requests"))
+        assert requests > batches
 
     def test_chaos_leg_is_bit_identical_to_faultfree_serial(self, monkeypatch):
         """A seeded crash plan killing pool workers must not change bytes."""
@@ -507,7 +649,7 @@ class _ServerThread:
 
 class TestBlockingClientAndRequestCLI:
     def test_serve_client_round_trips(self):
-        with _ServerThread(window_ms=2.0) as server:
+        with _ServerThread() as server:
             with ServeClient(server.host, server.port) as client:
                 assert client.health()["status"] == "ok"
                 payload = client.sweep(grid="pe=256:512:256,freq=700:700:1")
